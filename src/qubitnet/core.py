@@ -151,6 +151,22 @@ def conjugate(rho, U) -> np.ndarray:
     return U @ rho @ U.conj().T
 
 
+def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of matching (..., 3) arrays, row by row.
+
+    The arithmetic of np.cross, written out by component: on the few-row
+    arrays of a network step, np.cross's own per-call overhead costs
+    more than the products.
+    """
+    shape = a.shape
+    a, b = a.reshape(-1, 3), b.reshape(-1, 3)
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    return np.stack(
+        [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1
+    ).reshape(shape)
+
+
 def cross_term(psi_i, psi_j, p: int) -> float:
     """Re(i <psi_i| sigma_p |psi_j>) for Pauli axis p in {1, 2, 3}.
 

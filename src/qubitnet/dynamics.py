@@ -17,12 +17,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 
+from .core import row_cross
 from .metrics import quantum_average
 from .protocols import chain_axes, geometry_axes, min_time_pair_hamiltonians
 from .topology import Topology, is_chain, is_connected
@@ -34,10 +36,12 @@ class IntegratorConfig:
     t_max: float = 50.0
     sample_every: int = 1
     stop_threshold: float | None = None
-    # metric the stop_threshold applies to in simulate_network
+    # metric series the stop_threshold applies to
     stop_metric: str = "V"
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_max)):
+            raise ValueError("dt and t_max must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_max < self.dt:
@@ -113,12 +117,13 @@ def write_manifest(path, config: dict) -> None:
 
 
 def _bloch_batch(kets: np.ndarray) -> np.ndarray:
-    a = kets[..., 0]
-    b = kets[..., 1]
+    flat = kets.reshape(-1, 2)
+    a = flat[:, 0]
+    b = flat[:, 1]
     ab = a.conj() * b
     return np.stack(
-        [2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=-1
-    )
+        [2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=1
+    ).reshape(kets.shape[:-1] + (3,))
 
 
 def step_ket(psi, axis, dt: float) -> np.ndarray:
@@ -128,7 +133,9 @@ def step_ket(psi, axis, dt: float) -> np.ndarray:
 
 
 def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized exp(-i dt n.sigma) on a batch of kets; exactly unitary."""
+    """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary."""
+    shape = kets.shape
+    kets, axes = kets.reshape(-1, 2), axes.reshape(-1, 3)
     omega = np.linalg.norm(axes, axis=1)
     phi = omega * dt
     safe = np.where(omega > 0.0, omega, 1.0)
@@ -139,11 +146,13 @@ def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
     ex, ey, ez = e[:, 0], e[:, 1], e[:, 2]
     na = ez * a + (ex - 1j * ey) * b
     nb = (ex + 1j * ey) * a - ez * b
-    return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=1)
+    return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=1).reshape(shape)
 
 
 def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
-    """Rodrigues rotation of each row of x about its axis by |axis| * dt."""
+    """Rodrigues rotation of each (..., 3) row of x about its axis by |axis| * dt."""
+    shape = x.shape
+    x, axes = x.reshape(-1, 3), axes.reshape(-1, 3)
     omega = np.linalg.norm(axes, axis=1)
     phi = omega * dt
     safe = np.where(omega > 0.0, omega, 1.0)
@@ -151,24 +160,27 @@ def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
     c = np.cos(phi)[:, None]
     s = np.where(omega > 0.0, np.sin(phi), 0.0)[:, None]
     dot = np.einsum("ij,ij->i", e, x)[:, None]
-    return x * c + np.cross(e, x) * s + e * dot * (1.0 - c)
+    return (x * c + row_cross(e, x) * s + e * dot * (1.0 - c)).reshape(shape)
 
 
-def _consecutive_v(kets: np.ndarray) -> float:
-    """(N-1) - sum of Re<psi_i|psi_{i+1}> over consecutive indices."""
-    overlaps = np.einsum("ij,ij->i", kets[:-1].conj(), kets[1:])
-    return float(kets.shape[0] - 1 - overlaps.real.sum())
+def _consecutive_v(kets: np.ndarray) -> np.ndarray:
+    """(N-1) - sum of Re<psi_i|psi_{i+1}> over consecutive indices, per network."""
+    overlaps = np.einsum("...ij,...ij->...i",
+                         kets[..., :-1, :].conj(), kets[..., 1:, :])
+    return kets.shape[-2] - 1 - overlaps.real.sum(axis=-1)
 
 
-def _pairwise_error(u: np.ndarray) -> float:
-    """Max pairwise |rho'_i - rho'_j|_F = max |u_i - u_j| / sqrt(2)."""
-    d = u[:, None, :] - u[None, :, :]
-    return float(np.linalg.norm(d, axis=-1).max() / np.sqrt(2.0))
+def _pairwise_error(u: np.ndarray) -> np.ndarray:
+    """Max pairwise |rho'_i - rho'_j|_F = max |u_i - u_j| / sqrt(2), per network."""
+    d = u[..., :, None, :] - u[..., None, :, :]
+    # sqrt is monotone, so taking it after the max gives the same value
+    return np.sqrt((d * d).sum(axis=-1).max(axis=(-2, -1))) / np.sqrt(2.0)
 
 
-def _max_pairwise_angle(u: np.ndarray) -> float:
-    dots = np.clip(u @ u.T, -1.0, 1.0)
-    return float(np.arccos(dots).max())
+def _max_pairwise_angle(u: np.ndarray) -> np.ndarray:
+    """Largest angle between two of the N unit vectors, per network."""
+    dots = np.clip(u @ np.swapaxes(u, -1, -2), -1.0, 1.0)
+    return np.arccos(dots.min(axis=(-2, -1)))
 
 
 def in_open_hemisphere(u: np.ndarray) -> bool:
@@ -193,6 +205,79 @@ def in_open_hemisphere(u: np.ndarray) -> bool:
 PROTOCOLS = ("chain", "geometry", "min-time")
 
 
+def _batch(states, width: int) -> tuple[np.ndarray, bool]:
+    """States as a (B, N, width) batch, and whether the input had its own
+    leading batch axis (a plain (N, width) input becomes B = 1)."""
+    if states.ndim == 3:
+        if states.shape[2] != width:
+            raise ValueError(f"expected a (B, N, {width}) batch, got {states.shape}")
+        return states, True
+    return states.reshape(-1, width)[None], False
+
+
+def _integrate(x, step, record, names, cfg: IntegratorConfig) -> list[Trajectory]:
+    """Shared stepping driver over a (B, N, .) batch of independent runs.
+
+    step(x, members) returns the next state of the active rows x, which
+    belong to the batch members `members` (a full slice while every
+    member is active, so nothing is gathered). record(x) returns, for
+    each metric series in names, its values for the active rows. A
+    member whose cfg.stop_metric sample falls below cfg.stop_threshold
+    stops: its row leaves the batch and its trajectory ends at that
+    sample. As in a one-member run, the stop test starts at the first
+    sample after a step.
+    """
+    stop = None
+    if cfg.stop_threshold is not None:
+        if cfg.stop_metric not in names:
+            raise ValueError(f"unknown stop_metric {cfg.stop_metric!r}; "
+                             f"this run records {sorted(names)}")
+        stop = names.index(cfg.stop_metric)
+    size = x.shape[0]
+    steps, snaps, values = [0], [x], [np.stack(record(x))]
+    members = slice(None)
+    ends = np.full(size, -1)  # last sample index of each stopped member
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    for k in range(1, n_steps + 1):
+        x = step(x, members)
+        if k % cfg.sample_every and k != n_steps:
+            continue
+        steps.append(k)
+        snaps.append(x)
+        values.append(np.stack(record(x)))
+        if stop is None:
+            continue
+        done = values[-1][stop] < cfg.stop_threshold
+        if done.any():
+            ids = np.arange(size)[members]
+            ends[ids[done]] = len(steps) - 1
+            if done.all():
+                break
+            members, x = ids[~done], x[~done]
+    ends[ends < 0] = len(steps) - 1
+
+    # Members leave the batch in order and never return, so member b is
+    # in samples 0..ends[b]. `take` lists the rows of the sample-major
+    # concatenation in member-major order.
+    live = np.arange(len(steps)) <= ends[:, None]
+    rank = np.cumsum(live.T).reshape(len(steps), size).T - 1
+    take = rank[live]
+    cuts = np.cumsum(ends + 1)[:-1]
+    flat = np.concatenate(snaps)
+    snaps.clear()  # keep one copy of the samples, not two, while regrouping
+    samples = np.split(flat[take], cuts)
+    series = np.split(np.concatenate(values, axis=1)[:, take], cuts, axis=1)
+    times = np.array(steps) * cfg.dt
+    return [
+        Trajectory(
+            sample_times=times[: e + 1],
+            samples=samples[b],
+            metrics=dict(zip(names, series[b])),
+        )
+        for b, e in enumerate(ends)
+    ]
+
+
 def simulate_network(
     kets0,
     t: Topology,
@@ -200,80 +285,74 @@ def simulate_network(
     cfg: IntegratorConfig,
     gain: float = 1.0,
     weight_fn=None,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Synchronous closed-loop run of a protocol over a qubit network.
+
+    kets0 of shape (N, 2) gives one Trajectory. A (B, N, 2) batch runs
+    B independent networks on the same topology in one pass and gives
+    one Trajectory per member, each matching its one-member run and cut
+    at its own stop sample.
 
     The geometry branch applies H = (gain/2) n . sigma so that with
     gain 1 the Bloch flow equals the projected-sum sphere flow exactly
     (factor-2 rotation-rate reconciliation); gain 2 reproduces the bare
     H = n . sigma protocol.
     """
-    kets = np.array(kets0, dtype=complex).reshape(-1, 2)
-    n = kets.shape[0]
+    kets, batched = _batch(np.array(kets0, dtype=complex), 2)
+    n = kets.shape[1]
     if n != t.n:
         raise ValueError(f"{n} kets for a {t.n}-node topology")
-    if np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) > 1e-9:
+    if np.max(np.abs(np.linalg.norm(kets, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial kets must be normalized")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
 
-    fixed_axes = None
+    dt = cfg.dt
     if protocol == "chain":
         if not is_chain(t):
             raise ValueError("chain protocol requires a chain topology")
+
+        def step(x, members):
+            return _step_kets(x, gain * chain_axes(x), dt)
+
     elif protocol == "geometry":
         if not is_connected(t):
             raise ValueError("geometry protocol requires a connected topology")
-        if not in_open_hemisphere(_bloch_batch(kets)):
+        outside = [b for b, u in enumerate(_bloch_batch(kets))
+                   if not in_open_hemisphere(u)]
+        if outside:
+            which = f" of batch members {outside}" if batched else ""
             warnings.warn(
-                "initial Bloch vectors are not strictly inside an open hemisphere; "
-                "convergence of the geometric protocol is not guaranteed",
+                f"initial Bloch vectors{which} are not strictly inside an open "
+                "hemisphere; convergence of the geometric protocol is not guaranteed",
                 stacklevel=2,
             )
+
+        def step(x, members):
+            axes = (0.5 * gain) * geometry_axes(_bloch_batch(x), t, weight_fn)
+            return _step_kets(x, axes, dt)
+
     else:  # min-time
         if n != 2:
             raise ValueError("min-time protocol is defined for exactly 2 qubits")
-        u = _bloch_batch(kets)
-        h_i, h_j = min_time_pair_hamiltonians(u[0], u[1])
-        fixed_axes = gain * np.stack([h_i, h_j])
+        fixed_axes = gain * np.array(
+            [np.stack(min_time_pair_hamiltonians(u[0], u[1]))
+             for u in _bloch_batch(kets)]
+        )
 
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times, snaps = [], []
-    series: dict[str, list[float]] = {"V": [], "pure_state_error": []}
-    if protocol == "chain":
-        series["W_max"] = []
+        def step(x, members):
+            return _step_kets(x, fixed_axes[members], dt)
 
-    def record(k: int):
-        times.append(k * cfg.dt)
-        snaps.append(kets.copy())
-        series["V"].append(_consecutive_v(kets))
-        series["pure_state_error"].append(_pairwise_error(_bloch_batch(kets)))
+    names = ("V", "pure_state_error") + (("W_max",) if protocol == "chain" else ())
+
+    def record(x):
+        out = [_consecutive_v(x), _pairwise_error(_bloch_batch(x))]
         if protocol == "chain":
-            w = -np.sum(chain_axes(kets) ** 2, axis=1)
-            series["W_max"].append(float(w.max()))
+            out.append((-np.sum(chain_axes(x) ** 2, axis=-1)).max(axis=-1))
+        return out
 
-    record(0)
-    for k in range(1, n_steps + 1):
-        if protocol == "chain":
-            axes = gain * chain_axes(kets)
-        elif protocol == "geometry":
-            axes = (0.5 * gain) * geometry_axes(_bloch_batch(kets), t, weight_fn)
-        else:
-            axes = fixed_axes
-        kets = _step_kets(kets, axes, cfg.dt)
-        if k % cfg.sample_every == 0 or k == n_steps:
-            record(k)
-            if (
-                cfg.stop_threshold is not None
-                and series[cfg.stop_metric][-1] < cfg.stop_threshold
-            ):
-                break
-
-    return Trajectory(
-        sample_times=np.array(times),
-        samples=np.array(snaps),
-        metrics={k: np.array(v) for k, v in series.items()},
-    )
+    trajs = _integrate(kets, step, record, names, cfg)
+    return trajs if batched else trajs[0]
 
 
 def simulate_sphere(
@@ -282,48 +361,32 @@ def simulate_sphere(
     cfg: IntegratorConfig,
     gain: float = 1.0,
     weight_fn=None,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Classical twin of the quantum geometric protocol on the 2-sphere.
 
     Integrates dx_i/dt = (I - x_i x_i^T) sum_j w_ij x_j by rotating each
     vector about the frozen per-step axis x_i x (projected sum), the same
     discrete flow the quantum integrator induces on Bloch vectors. Steps
-    stay on the sphere exactly (drift is rounding only).
+    stay on the sphere exactly (drift is rounding only). Batching and
+    stopping follow simulate_network: x0 of shape (N, 3) gives one
+    Trajectory, (B, N, 3) one per member.
     """
-    x = np.array(x0, dtype=float).reshape(-1, 3)
-    if x.shape[0] != t.n:
-        raise ValueError(f"{x.shape[0]} vectors for a {t.n}-node topology")
-    if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > 1e-9:
+    x, batched = _batch(np.array(x0, dtype=float), 3)
+    if x.shape[1] != t.n:
+        raise ValueError(f"{x.shape[1]} vectors for a {t.n}-node topology")
+    if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial vectors must be unit")
 
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times, snaps = [], []
-    series: dict[str, list[float]] = {"max_angle": [], "pure_state_error": []}
+    def step(x, members):
+        x = _rotate_vectors(x, gain * geometry_axes(x, t, weight_fn), cfg.dt)
+        x /= np.linalg.norm(x, axis=-1)[..., None]
+        return x
 
-    def record(k: int):
-        times.append(k * cfg.dt)
-        snaps.append(x.copy())
-        series["max_angle"].append(_max_pairwise_angle(x))
-        series["pure_state_error"].append(_pairwise_error(x))
+    def record(x):
+        return _max_pairwise_angle(x), _pairwise_error(x)
 
-    record(0)
-    for k in range(1, n_steps + 1):
-        axes = gain * geometry_axes(x, t, weight_fn)
-        x = _rotate_vectors(x, axes, cfg.dt)
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        if k % cfg.sample_every == 0 or k == n_steps:
-            record(k)
-            if (
-                cfg.stop_threshold is not None
-                and series["max_angle"][-1] < cfg.stop_threshold
-            ):
-                break
-
-    return Trajectory(
-        sample_times=np.array(times),
-        samples=np.array(snaps),
-        metrics={k: np.array(v) for k, v in series.items()},
-    )
+    trajs = _integrate(x, step, record, ("max_angle", "pure_state_error"), cfg)
+    return trajs if batched else trajs[0]
 
 
 def simulate_qcme(rho0, t: Topology, cfg: IntegratorConfig) -> Trajectory:
@@ -390,7 +453,7 @@ def meeting_time(traj: Trajectory, angle_tol: float) -> float | None:
     u = traj.bloch()
     if u.shape[1] < 2:
         raise ValueError("need at least 2 qubits to detect a meeting")
-    angles = np.array([_max_pairwise_angle(uk) for uk in u])
+    angles = _max_pairwise_angle(u)
     ts = traj.sample_times
 
     below = np.nonzero(angles < angle_tol)[0]

@@ -30,6 +30,10 @@ from .metrics import SettlingSpec, quantum_average, settling_time
 from .topology import Topology, chain, complete, grid
 
 QCME_CAP_ANGLE = 0.8  # cap radius (rad) for qcme-compare initial spreads
+# Heatmap cells stepped as one batch. A batch returns every member's
+# full trajectory at once, about 0.5 MB per cell at the default dt, so
+# the 1024 cells of the default map run in batches, not all together.
+HEATMAP_BATCH = 64
 
 
 def sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -47,6 +51,8 @@ def hemisphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def cap_points(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     """n unit vectors within angle alpha of a random center direction."""
+    if not 0.0 < alpha <= math.pi:
+        raise ValueError(f"cap angle must be in (0, pi], got {alpha}")
     c = rng.normal(size=3)
     c /= np.linalg.norm(c)
     out: list[np.ndarray] = []
@@ -94,28 +100,31 @@ def run_min_time_heatmap(
 
     cfg = IntegratorConfig(dt=dt, t_max=20.0, stop_threshold=v_threshold)
     spec = SettlingSpec(threshold=v_threshold, metric="V")
+    cells = [(theta, dphi, 0.5 * (math.pi / 2.0 - dphi))
+             for theta in thetas for dphi in dphis]
+    kets = np.array([[ket_from_angles(theta, phi1),
+                      ket_from_angles(theta, phi1 + dphi)]
+                     for theta, dphi, phi1 in cells])
+    t1s = []
+    for i in range(0, len(cells), HEATMAP_BATCH):
+        trajs = simulate_network(kets[i:i + HEATMAP_BATCH], chain(2), "chain", cfg)
+        t1s += [settling_time(traj, spec) for traj in trajs]
     rows = []
     max_diff = 0.0
-    for theta in thetas:
-        for dphi in dphis:
-            phi1 = 0.5 * (math.pi / 2.0 - dphi)
-            k1 = ket_from_angles(theta, phi1)
-            k2 = ket_from_angles(theta, phi1 + dphi)
-            traj = simulate_network(np.array([k1, k2]), chain(2), "chain", cfg)
-            t1 = settling_time(traj, spec)
-            s1 = np.array([math.sin(theta) * math.cos(phi1),
-                           math.sin(theta) * math.sin(phi1),
-                           math.cos(theta)])
-            s2 = np.array([math.sin(theta) * math.cos(phi1 + dphi),
-                           math.sin(theta) * math.sin(phi1 + dphi),
-                           math.cos(theta)])
-            t_min = 0.5 * math.acos(min(1.0, max(-1.0, float(s1 @ s2))))
-            if t1 is None:
-                raise RuntimeError(
-                    f"cell theta={theta:.4f} dphi={dphi:.4f} did not settle"
-                )
-            rows.append((theta, dphi, t1, t_min, t1 - t_min))
-            max_diff = max(max_diff, t1 - t_min)
+    for (theta, dphi, phi1), t1 in zip(cells, t1s):
+        s1 = np.array([math.sin(theta) * math.cos(phi1),
+                       math.sin(theta) * math.sin(phi1),
+                       math.cos(theta)])
+        s2 = np.array([math.sin(theta) * math.cos(phi1 + dphi),
+                       math.sin(theta) * math.sin(phi1 + dphi),
+                       math.cos(theta)])
+        t_min = 0.5 * math.acos(min(1.0, max(-1.0, float(s1 @ s2))))
+        if t1 is None:
+            raise RuntimeError(
+                f"cell theta={theta:.4f} dphi={dphi:.4f} did not settle"
+            )
+        rows.append((theta, dphi, t1, t_min, t1 - t_min))
+        max_diff = max(max_diff, t1 - t_min)
 
     path = os.path.join(out_dir, "min_time_heatmap.csv")
     _write_csv(path, ["theta", "dphi", "t1", "t_min", "diff"], rows)
@@ -189,35 +198,37 @@ def run_network_experiment(
     return summary
 
 
-def scaling_cell(kind: str, size: int, seed: int, master_seed: int,
-                 dt: float = 5e-3) -> float | None:
-    """Settling time of one (topology size, seed) sweep cell.
+def scaling_cells(kind: str, size: int, seeds, master_seed: int,
+                  dt: float = 5e-3) -> list[float | None]:
+    """Settling times of the (topology size, seed) sweep cells of one size.
 
-    The random stream depends only on the master seed and the cell
-    coordinates, so cells can run in any order or in parallel.
+    The seeds run as one batch, but each cell's random stream depends
+    only on the master seed and the cell coordinates, so cells can run
+    in any order, grouping or in parallel.
     """
     if kind == "chain":
-        n = size
-        rng = np.random.default_rng([master_seed, 0, size, seed])
-        t = chain(n)
-        kets = kets_from_points(sphere_points(rng, n))
-        cfg = IntegratorConfig(dt=dt, t_max=10.0 + 2.0 * n * n, sample_every=10,
-                               stop_threshold=1e-2, stop_metric="V")
-        traj = simulate_network(kets, t, "chain", cfg)
-        return settling_time(traj, SettlingSpec(threshold=1e-2, metric="V"))
-    if kind == "grid":
-        n = size * size
-        rng = np.random.default_rng([master_seed, 1, size, seed])
-        t = grid(size)
-        kets = kets_from_points(hemisphere_points(rng, n))
-        cfg = IntegratorConfig(dt=dt, t_max=300.0, sample_every=10,
-                               stop_threshold=1e-2,
-                               stop_metric="pure_state_error")
-        traj = simulate_network(kets, t, "geometry", cfg, gain=2.0)
-        return settling_time(
-            traj, SettlingSpec(threshold=1e-2, metric="pure_state_error")
-        )
-    raise ValueError(f"unknown scaling kind {kind!r}")
+        stream, t, draw = 0, chain(size), sphere_points
+        protocol, gain, metric, t_max = "chain", 1.0, "V", 10.0 + 2.0 * size * size
+    elif kind == "grid":
+        stream, t, draw = 1, grid(size), hemisphere_points
+        protocol, gain, metric, t_max = "geometry", 2.0, "pure_state_error", 300.0
+    else:
+        raise ValueError(f"unknown scaling kind {kind!r}")
+    kets = np.array([
+        kets_from_points(draw(
+            np.random.default_rng([master_seed, stream, size, s]), t.n))
+        for s in seeds])
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10,
+                           stop_threshold=1e-2, stop_metric=metric)
+    trajs = simulate_network(kets, t, protocol, cfg, gain=gain)
+    spec = SettlingSpec(threshold=1e-2, metric=metric)
+    return [settling_time(traj, spec) for traj in trajs]
+
+
+def scaling_cell(kind: str, size: int, seed: int, master_seed: int,
+                 dt: float = 5e-3) -> float | None:
+    """Settling time of one (topology size, seed) sweep cell."""
+    return scaling_cells(kind, size, [seed], master_seed, dt)[0]
 
 
 def run_scaling_sweep(
@@ -236,8 +247,7 @@ def run_scaling_sweep(
     medians: dict[str, dict[int, float]] = {"chain": {}, "grid": {}}
     for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)):
         for size in sizes:
-            vals = [scaling_cell(kind, size, s, master_seed, dt)
-                    for s in range(n_seeds)]
+            vals = scaling_cells(kind, size, range(n_seeds), master_seed, dt)
             if any(v is None for v in vals):
                 raise RuntimeError(f"{kind} size {size}: a seed did not settle")
             med = float(np.median(vals))
@@ -393,6 +403,8 @@ def run_coherence_protect(
     coherence (averaged over the two qubits) and of the inter-qubit
     distance, for both arms, from the same initial pair.
     """
+    if n_traj < 2:
+        raise ValueError("need at least 2 trajectories per arm for a standard error")
     os.makedirs(out_dir, exist_ok=True)
     p = params if params is not None else NoiseParams()
     rng = np.random.default_rng([master_seed, 3])
@@ -484,11 +496,13 @@ def run_sphere_twin_check(
     worst = 0.0
     rows = []
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10)
-    for s in range(n_seeds):
-        rng = np.random.default_rng([master_seed, 5, s])
-        pts = hemisphere_points(rng, t.n)
-        tq = simulate_network(kets_from_points(pts), t, "geometry", cfg)
-        tc = simulate_sphere(pts, t, cfg)
+    pts = np.array([
+        hemisphere_points(np.random.default_rng([master_seed, 5, s]), t.n)
+        for s in range(n_seeds)])
+    kets = np.array([kets_from_points(p) for p in pts])
+    quantum = simulate_network(kets, t, "geometry", cfg)
+    sphere = simulate_sphere(pts, t, cfg)
+    for s, (tq, tc) in enumerate(zip(quantum, sphere)):
         dev = float(np.max(np.abs(tq.bloch() - tc.samples)))
         rows.append((s, dev))
         worst = max(worst, dev)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import cross_vector, so3_from_su2
+from .core import cross_vector, row_cross, so3_from_su2
 from .topology import Topology, is_chain
 
 DEGENERACY_TOL = 1e-9
@@ -86,22 +86,29 @@ def min_time_pair_hamiltonians(s_i, s_j) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chain_axes(states: np.ndarray) -> np.ndarray:
-    """Chain-protocol axes for all qubits, shape (N, 3).
+    """Chain-protocol axes for all qubits, shape (..., N, 3).
 
     Axis components are the signed differences of consecutive cross
     terms: the first node gets +c_1, interior node i gets c_i - c_{i-1},
-    and the last node gets -c_{N-1}.
+    and the last node gets -c_{N-1}. Leading axes index independent
+    networks.
     """
     states = np.asarray(states, dtype=complex)
-    n = states.shape[0]
-    a = states[:-1].conj()
-    b = states[1:]
+    n = states.shape[-2]
+    # Pairs of consecutive rows of the flattened batch; the pair joining
+    # the last qubit of one network to the first of the next is zeroed.
+    flat = states.reshape(-1, 2)
+    a = flat[:-1].conj()
+    b = flat[1:]
     sx = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
     sy = 1.0j * (a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1])
     sz = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
-    c = np.zeros((n + 1, 3))
-    c[1:n] = -np.stack([sx.imag, sy.imag, sz.imag], axis=1)
-    return c[1:] - c[:-1]
+    c = np.stack([sx.imag, sy.imag, sz.imag], axis=1)  # minus c_1 .. c_{N-1}
+    c[n - 1 :: n] = 0.0
+    axes = np.zeros((flat.shape[0], 3))
+    axes[:-1] -= c
+    axes[1:] += c
+    return axes.reshape(states.shape[:-1] + (3,))
 
 
 def chain_hamiltonian(states, i: int, t: Topology) -> np.ndarray:
@@ -161,19 +168,20 @@ def geometry_axis(x_i, nbrs) -> np.ndarray:
 def geometry_axes(
     x: np.ndarray, t: Topology, weight_fn: WeightFn | None = None
 ) -> np.ndarray:
-    """Geometric-protocol axes for all qubits, shape (N, 3).
+    """Geometric-protocol axes for all qubits, shape (..., N, 3).
 
     With weight_fn, the static weight a_ij is multiplied by
     weight_fn(|x_i - x_j|); the default keeps the constant graph weights.
+    Leading axes index independent networks on the same topology.
     """
     x = np.asarray(x, dtype=float)
     w = t.weights
     if weight_fn is not None:
-        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+        d = np.linalg.norm(x[..., :, None, :] - x[..., None, :, :], axis=-1)
         w = w * np.vectorize(weight_fn)(d)
     acc = w @ x
-    tangent = acc - (np.einsum("ij,ij->i", x, acc))[:, None] * x
-    return np.cross(x, tangent)
+    tangent = acc - (np.einsum("...ij,...ij->...i", x, acc))[..., None] * x
+    return row_cross(x, tangent)
 
 
 def hamiltonian_to_body_frame(axis, U) -> np.ndarray:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qubitnet import dynamics
 from qubitnet.core import bloch_from_ket, ket_from_bloch
 from qubitnet.dynamics import (
     IntegratorConfig,
@@ -16,6 +19,7 @@ from qubitnet.dynamics import (
     topology_hash,
 )
 from qubitnet.metrics import quantum_average
+from qubitnet.protocols import chain_axes, geometry_axes
 from qubitnet.topology import chain, complete, grid
 
 RNG = np.random.default_rng(11)
@@ -38,6 +42,12 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=1e-3, t_max=1e-4)
         with pytest.raises(ValueError):
             IntegratorConfig(sample_every=0)
+
+    @pytest.mark.parametrize("kw", [{"dt": math.nan}, {"dt": math.inf},
+                                    {"t_max": math.inf}, {"t_max": math.nan}])
+    def test_rejects_non_finite(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**kw)
 
 
 class TestStepKet:
@@ -145,6 +155,161 @@ class TestTwinAgreement:
         tq = simulate_network(kets, grid(3), "geometry", cfg)
         tc = simulate_sphere(pts, grid(3), cfg)
         assert np.max(np.abs(tq.bloch() - tc.samples)) < 1e-9
+
+
+def _assert_same_run(batched, single):
+    assert batched.sample_times.shape == single.sample_times.shape
+    np.testing.assert_allclose(batched.sample_times, single.sample_times,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batched.samples, single.samples, rtol=0, atol=1e-12)
+    assert batched.metrics.keys() == single.metrics.keys()
+    for name in single.metrics:
+        np.testing.assert_allclose(batched.metrics[name], single.metrics[name],
+                                   rtol=0, atol=1e-12)
+
+
+def _mixed_batch(rng, n, settled_tol):
+    """Unit vectors of three networks: already agreeing, nearly agreeing
+    (stops within the run) and spread over a hemisphere (never stops)."""
+    c = np.array([0.0, 0.0, 1.0])
+    near = c + settled_tol * rng.normal(size=(n, 3))
+    spread = rng.normal(size=(n, 3))
+    spread[:, 2] = np.abs(spread[:, 2])
+    pts = np.array([np.tile(c, (n, 1)), near, spread])
+    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+
+
+class TestBatch:
+    """A (B, N, .) batch gives each member exactly its one-member run."""
+
+    def _check(self, run, pts):
+        trajs = run(pts)
+        assert isinstance(trajs, list) and len(trajs) == len(pts)
+        for member, traj in zip(pts, trajs):
+            _assert_same_run(traj, run(member))
+        n_full = trajs[2].sample_times.size
+        # settled at t = 0: stops at the first test, one step later
+        assert trajs[0].sample_times.size == 2
+        assert 2 < trajs[1].sample_times.size < n_full
+        return trajs, n_full
+
+    def test_chain_stops_on_v(self):
+        rng = np.random.default_rng(61)
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=2,
+                               stop_threshold=0.1)
+        pts = _mixed_batch(rng, 4, 1e-2)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+        trajs, n_full = self._check(
+            lambda k: simulate_network(k, chain(4), "chain", cfg), kets)
+        assert n_full == 51
+        assert trajs[2].metrics["V"][-1] > 0.1
+
+    def test_geometry_stops_on_pure_state_error(self):
+        rng = np.random.default_rng(61)
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.5, sample_every=5,
+                               stop_threshold=1e-2,
+                               stop_metric="pure_state_error")
+        pts = _mixed_batch(rng, 4, 1e-2)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+        trajs, n_full = self._check(
+            lambda k: simulate_network(k, grid(2), "geometry", cfg, gain=2.0),
+            kets)
+        assert trajs[2].metrics["pure_state_error"][-1] > 1e-2
+
+    def test_sphere_stops_on_max_angle(self):
+        rng = np.random.default_rng(61)
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.5, sample_every=5,
+                               stop_threshold=2e-2, stop_metric="max_angle")
+        pts = _mixed_batch(rng, 4, 1e-2)
+        trajs, n_full = self._check(
+            lambda x: simulate_sphere(x, grid(2), cfg), pts)
+        assert trajs[2].metrics["max_angle"][-1] > 2e-2
+
+    def test_min_time_members_keep_their_axes(self):
+        rng = np.random.default_rng(64)
+        pts = rng.normal(size=(3, 2, 3))
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.3)
+        trajs = simulate_network(kets, chain(2), "min-time", cfg)
+        for member, traj in zip(kets, trajs):
+            _assert_same_run(traj, simulate_network(member, chain(2),
+                                                    "min-time", cfg))
+
+    def test_hemisphere_warning_names_member(self):
+        inside = np.array([[0, 0, 1], [0.6, 0, 0.8], [0, 0.6, 0.8]])
+        outside = np.array([[0, 0, 1], [1, 0, 0], [0, 0, -1.0]])
+        kets = np.array([[ket_from_bloch(u) for u in p]
+                         for p in (inside, outside)])
+        with pytest.warns(UserWarning, match=r"members \[1\]"):
+            simulate_network(kets, complete(3), "geometry",
+                             IntegratorConfig(t_max=0.01))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4),
+           n=st.integers(2, 6))
+    def test_kernels_match_per_member_calls(self, seed, size, n):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(size, n, 3))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in x])
+        axes = rng.normal(size=(size, n, 3))
+        t = chain(n)
+        batched = {
+            "chain_axes": chain_axes(kets),
+            "geometry_axes": geometry_axes(x, t),
+            "step": dynamics._step_kets(kets, axes, 0.1),
+            "rotate": dynamics._rotate_vectors(x, axes, 0.1),
+            "V": dynamics._consecutive_v(kets),
+            "error": dynamics._pairwise_error(x),
+            "angle": dynamics._max_pairwise_angle(x),
+        }
+        for b in range(size):
+            single = {
+                "chain_axes": chain_axes(kets[b]),
+                "geometry_axes": geometry_axes(x[b], t),
+                "step": dynamics._step_kets(kets[b], axes[b], 0.1),
+                "rotate": dynamics._rotate_vectors(x[b], axes[b], 0.1),
+                "V": dynamics._consecutive_v(kets[b]),
+                "error": dynamics._pairwise_error(x[b]),
+                "angle": dynamics._max_pairwise_angle(x[b]),
+            }
+            for name, value in single.items():
+                np.testing.assert_allclose(batched[name][b], value,
+                                           rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestStopMetric:
+    def test_unknown_metric_rejected_before_stepping(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped before validating stop_metric")
+
+        monkeypatch.setattr(dynamics, "_step_kets", no_step)
+        kets = np.array([ket_from_bloch(u) for u in
+                         ([0, 0, 1], [0.6, 0, 0.8], [0, 0.6, 0.8], [0.6, 0, 0.8])])
+        cfg = IntegratorConfig(t_max=0.1, stop_threshold=1e-2, stop_metric="W_max")
+        with pytest.raises(ValueError, match="pure_state_error"):
+            simulate_network(kets, grid(2), "geometry", cfg)
+
+    def test_sphere_rejects_network_metric(self):
+        x = np.array([[0, 0, 1.0], [0.6, 0, 0.8]])
+        cfg = IntegratorConfig(t_max=0.1, stop_threshold=1e-2)  # metric "V"
+        with pytest.raises(ValueError, match="max_angle"):
+            simulate_sphere(x, chain(2), cfg)
+
+    def test_sphere_honours_stop_metric(self):
+        # |u_i - u_j| / sqrt(2) falls below the threshold before the
+        # angle does, so a pure_state_error stop ends the run earlier
+        x = np.array([[0, 0, 1.0], [0.6, 0, 0.8]])
+        runs = {}
+        for metric in ("pure_state_error", "max_angle"):
+            cfg = IntegratorConfig(dt=1e-2, t_max=20.0, stop_threshold=1e-2,
+                                   stop_metric=metric)
+            traj = simulate_sphere(x, chain(2), cfg)
+            series = traj.metrics[metric]
+            assert series[-1] < 1e-2 <= series[-2]
+            runs[metric] = traj.sample_times[-1]
+        assert runs["pure_state_error"] < runs["max_angle"]
 
 
 class TestSimulateQcme:
