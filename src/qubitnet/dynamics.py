@@ -117,13 +117,12 @@ def write_manifest(path, config: dict) -> None:
 
 
 def _bloch_batch(kets: np.ndarray) -> np.ndarray:
-    flat = kets.reshape(-1, 2)
-    a = flat[:, 0]
-    b = flat[:, 1]
+    a = kets[..., 0]
+    b = kets[..., 1]
     ab = a.conj() * b
     return np.stack(
-        [2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=1
-    ).reshape(kets.shape[:-1] + (3,))
+        [2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=-1
+    )
 
 
 def step_ket(psi, axis, dt: float) -> np.ndarray:
@@ -134,19 +133,17 @@ def step_ket(psi, axis, dt: float) -> np.ndarray:
 
 def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
     """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary."""
-    shape = kets.shape
-    kets, axes = kets.reshape(-1, 2), axes.reshape(-1, 3)
-    omega = np.linalg.norm(axes, axis=1)
+    omega = np.linalg.norm(axes, axis=-1)
     phi = omega * dt
     safe = np.where(omega > 0.0, omega, 1.0)
-    e = axes / safe[:, None]
+    e = axes / safe[..., None]
     c = np.cos(phi)
     s = np.where(omega > 0.0, np.sin(phi), 0.0)
-    a, b = kets[:, 0], kets[:, 1]
-    ex, ey, ez = e[:, 0], e[:, 1], e[:, 2]
+    a, b = kets[..., 0], kets[..., 1]
+    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
     na = ez * a + (ex - 1j * ey) * b
     nb = (ex + 1j * ey) * a - ez * b
-    return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=1).reshape(shape)
+    return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=-1)
 
 
 def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
@@ -206,17 +203,17 @@ PROTOCOLS = ("chain", "geometry", "min-time")
 
 
 def _batch(states, width: int) -> tuple[np.ndarray, bool]:
-    """States as a (B, N, width) batch, and whether the input had its own
-    leading batch axis (a plain (N, width) input becomes B = 1)."""
+    """States as one (N, width) run or a (B, N, width) batch, and whether
+    they are a batch."""
     if states.ndim == 3:
         if states.shape[2] != width:
             raise ValueError(f"expected a (B, N, {width}) batch, got {states.shape}")
         return states, True
-    return states.reshape(-1, width)[None], False
+    return states.reshape(-1, width), False
 
 
-def _integrate(x, step, record, names, cfg: IntegratorConfig) -> list[Trajectory]:
-    """Shared stepping driver over a (B, N, .) batch of independent runs.
+def _integrate(x, step, record, names, cfg: IntegratorConfig):
+    """Shared stepping driver over one (N, .) run or a (B, N, .) batch.
 
     step(x, members) returns the next state of the active rows x, which
     belong to the batch members `members` (a full slice while every
@@ -225,7 +222,9 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig) -> list[Trajectory
     member whose cfg.stop_metric sample falls below cfg.stop_threshold
     stops: its row leaves the batch and its trajectory ends at that
     sample. As in a one-member run, the stop test starts at the first
-    sample after a step.
+    sample after a step. A single run is stepped as the plain (N, .)
+    array, without a batch axis, and gives one Trajectory; a batch gives
+    one per member.
     """
     stop = None
     if cfg.stop_threshold is not None:
@@ -233,7 +232,8 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig) -> list[Trajectory
             raise ValueError(f"unknown stop_metric {cfg.stop_metric!r}; "
                              f"this run records {sorted(names)}")
         stop = names.index(cfg.stop_metric)
-    size = x.shape[0]
+    single = x.ndim == 2
+    size = 1 if single else x.shape[0]
     steps, snaps, values = [0], [x], [np.stack(record(x))]
     members = slice(None)
     ends = np.full(size, -1)  # last sample index of each stopped member
@@ -248,12 +248,16 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig) -> list[Trajectory
         if stop is None:
             continue
         done = values[-1][stop] < cfg.stop_threshold
+        if done.all():
+            break
         if done.any():
             ids = np.arange(size)[members]
             ends[ids[done]] = len(steps) - 1
-            if done.all():
-                break
             members, x = ids[~done], x[~done]
+    times = np.array(steps) * cfg.dt
+    if single:
+        return Trajectory(sample_times=times, samples=np.array(snaps),
+                          metrics=dict(zip(names, np.stack(values, axis=1))))
     ends[ends < 0] = len(steps) - 1
 
     # Members leave the batch in order and never return, so member b is
@@ -267,7 +271,6 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig) -> list[Trajectory
     snaps.clear()  # keep one copy of the samples, not two, while regrouping
     samples = np.split(flat[take], cuts)
     series = np.split(np.concatenate(values, axis=1)[:, take], cuts, axis=1)
-    times = np.array(steps) * cfg.dt
     return [
         Trajectory(
             sample_times=times[: e + 1],
@@ -299,7 +302,7 @@ def simulate_network(
     H = n . sigma protocol.
     """
     kets, batched = _batch(np.array(kets0, dtype=complex), 2)
-    n = kets.shape[1]
+    n = kets.shape[-2]
     if n != t.n:
         raise ValueError(f"{n} kets for a {t.n}-node topology")
     if np.max(np.abs(np.linalg.norm(kets, axis=-1) - 1.0)) > 1e-9:
@@ -318,7 +321,7 @@ def simulate_network(
     elif protocol == "geometry":
         if not is_connected(t):
             raise ValueError("geometry protocol requires a connected topology")
-        outside = [b for b, u in enumerate(_bloch_batch(kets))
+        outside = [b for b, u in enumerate(_bloch_batch(kets.reshape(-1, n, 2)))
                    if not in_open_hemisphere(u)]
         if outside:
             which = f" of batch members {outside}" if batched else ""
@@ -337,8 +340,8 @@ def simulate_network(
             raise ValueError("min-time protocol is defined for exactly 2 qubits")
         fixed_axes = gain * np.array(
             [np.stack(min_time_pair_hamiltonians(u[0], u[1]))
-             for u in _bloch_batch(kets)]
-        )
+             for u in _bloch_batch(kets.reshape(-1, 2, 2))]
+        ).reshape(kets.shape[:-1] + (3,))
 
         def step(x, members):
             return _step_kets(x, fixed_axes[members], dt)
@@ -351,8 +354,7 @@ def simulate_network(
             out.append((-np.sum(chain_axes(x) ** 2, axis=-1)).max(axis=-1))
         return out
 
-    trajs = _integrate(kets, step, record, names, cfg)
-    return trajs if batched else trajs[0]
+    return _integrate(kets, step, record, names, cfg)
 
 
 def simulate_sphere(
@@ -371,9 +373,9 @@ def simulate_sphere(
     stopping follow simulate_network: x0 of shape (N, 3) gives one
     Trajectory, (B, N, 3) one per member.
     """
-    x, batched = _batch(np.array(x0, dtype=float), 3)
-    if x.shape[1] != t.n:
-        raise ValueError(f"{x.shape[1]} vectors for a {t.n}-node topology")
+    x, _ = _batch(np.array(x0, dtype=float), 3)
+    if x.shape[-2] != t.n:
+        raise ValueError(f"{x.shape[-2]} vectors for a {t.n}-node topology")
     if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial vectors must be unit")
 
@@ -385,8 +387,7 @@ def simulate_sphere(
     def record(x):
         return _max_pairwise_angle(x), _pairwise_error(x)
 
-    trajs = _integrate(x, step, record, ("max_angle", "pure_state_error"), cfg)
-    return trajs if batched else trajs[0]
+    return _integrate(x, step, record, ("max_angle", "pure_state_error"), cfg)
 
 
 def simulate_qcme(rho0, t: Topology, cfg: IntegratorConfig) -> Trajectory:

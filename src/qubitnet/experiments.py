@@ -51,8 +51,6 @@ def hemisphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def cap_points(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     """n unit vectors within angle alpha of a random center direction."""
-    if not 0.0 < alpha <= math.pi:
-        raise ValueError(f"cap angle must be in (0, pi], got {alpha}")
     c = rng.normal(size=3)
     c /= np.linalg.norm(c)
     out: list[np.ndarray] = []

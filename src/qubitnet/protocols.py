@@ -95,20 +95,15 @@ def chain_axes(states: np.ndarray) -> np.ndarray:
     """
     states = np.asarray(states, dtype=complex)
     n = states.shape[-2]
-    # Pairs of consecutive rows of the flattened batch; the pair joining
-    # the last qubit of one network to the first of the next is zeroed.
-    flat = states.reshape(-1, 2)
-    a = flat[:-1].conj()
-    b = flat[1:]
-    sx = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
-    sy = 1.0j * (a[:, 1] * b[:, 0] - a[:, 0] * b[:, 1])
-    sz = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
-    c = np.stack([sx.imag, sy.imag, sz.imag], axis=1)  # minus c_1 .. c_{N-1}
-    c[n - 1 :: n] = 0.0
-    axes = np.zeros((flat.shape[0], 3))
-    axes[:-1] -= c
-    axes[1:] += c
-    return axes.reshape(states.shape[:-1] + (3,))
+    a = states[..., :-1, :].conj()
+    b = states[..., 1:, :]
+    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    sx = a0 * b1 + a1 * b0
+    sy = 1.0j * (a1 * b0 - a0 * b1)
+    sz = a0 * b0 - a1 * b1
+    c = np.zeros(states.shape[:-2] + (n + 1, 3))
+    c[..., 1:n, :] = -np.stack([sx.imag, sy.imag, sz.imag], axis=-1)
+    return c[..., 1:, :] - c[..., :-1, :]
 
 
 def chain_hamiltonian(states, i: int, t: Topology) -> np.ndarray:

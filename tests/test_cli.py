@@ -175,12 +175,3 @@ class TestInputValidation:
         assert rc != 0
         assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
         assert not out.exists()
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.pi + 1e-9, math.nan])
-    def test_cap_angle_out_of_range(self, alpha):
-        with pytest.raises(ValueError, match="cap angle"):
-            experiments.cap_points(np.random.default_rng(0), 3, alpha)
-
-    def test_full_sphere_cap_accepted(self):
-        pts = experiments.cap_points(np.random.default_rng(0), 4, math.pi)
-        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qubitnet import dynamics
 from qubitnet.core import bloch_from_ket, ket_from_bloch
@@ -245,9 +243,8 @@ class TestBatch:
             simulate_network(kets, complete(3), "geometry",
                              IntegratorConfig(t_max=0.01))
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4),
-           n=st.integers(2, 6))
+    @pytest.mark.parametrize("seed, size, n",
+                             [(0, 1, 2), (1, 1, 5), (2, 2, 2), (3, 3, 4), (4, 4, 6)])
     def test_kernels_match_per_member_calls(self, seed, size, n):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(size, n, 3))
