@@ -213,7 +213,8 @@ def _batch(states, width: int) -> tuple[np.ndarray, bool]:
 
 
 def _integrate(x, step, record, names, cfg: IntegratorConfig):
-    """Shared stepping driver over one (N, .) run or a (B, N, .) batch.
+    """Shared stepping driver over one (N, .) run or a batch (B, ...) with
+    its members on the leading axis.
 
     step(x, members) returns the next state of the active rows x, which
     belong to the batch members `members` (a full slice while every

@@ -411,29 +411,27 @@ def run_coherence_protect(
     rho_j = density_from_bloch(pts[1])
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=50)
 
+    # both arms, feedback on then off, as one batch of 2 * n_traj pairs
+    arm_flags = (("fb", True), ("nofb", False))
+    seeds = [int(np.random.default_rng([master_seed, 4, m, int(fb)]).integers(2**63))
+             for _, fb in arm_flags for m in range(n_traj)]
+    runs = simulate_protected_pair(rho_i, rho_j, p, cfg, seeds,
+                                   feedback=[fb for _, fb in arm_flags
+                                             for _ in range(n_traj)])
+    times = runs[0].sample_times
     arms: dict[str, dict[str, np.ndarray]] = {}
     finals: dict[str, np.ndarray] = {}
-    times = None
-    for arm, fb in (("fb", True), ("nofb", False)):
-        cxy, dist, rho_ends = [], [], []
-        for m in range(n_traj):
-            seed = int(np.random.default_rng(
-                [master_seed, 4, m, int(fb)]).integers(2**63))
-            traj = simulate_protected_pair(rho_i, rho_j, p, cfg, seed,
-                                           feedback=fb)
-            cxy.append(traj.coherence.mean(axis=1))
-            dist.append(traj.distance)
-            rho_ends.append(traj.final_rhos)
-            times = traj.sample_times
-        cxy = np.array(cxy)
-        dist = np.array(dist)
+    for a, (arm, _) in enumerate(arm_flags):
+        members = runs[a * n_traj:(a + 1) * n_traj]
+        cxy = np.array([r.coherence.mean(axis=1) for r in members])
+        dist = np.array([r.distance for r in members])
         arms[arm] = {
             "cxy_mean": cxy.mean(axis=0),
             "cxy_se": cxy.std(axis=0, ddof=1) / math.sqrt(n_traj),
             "dist_mean": dist.mean(axis=0),
             "dist_se": dist.std(axis=0, ddof=1) / math.sqrt(n_traj),
         }
-        finals[arm] = np.array(rho_ends)
+        finals[arm] = np.array([r.final_rhos for r in members])
 
     rows = []
     for i, t in enumerate(times):
@@ -452,20 +450,25 @@ def run_coherence_protect(
     # deterministic reference for the feedback-off arm
     rho_lind = simulate_lindblad(rho_i, np.zeros(3), p, cfg)
 
-    idx_half = int(np.argmin(np.abs(times - 0.5))) if t_max >= 0.5 else -1
+    # a run that ends before t = 0.5 has no value at t = 0.5: null in JSON
+    half = int(np.argmin(np.abs(times - 0.5))) if t_max >= 0.5 else None
     summary = {
         "csv": csv_path,
         "n_traj": n_traj,
-        "cxy_fb_at_half": float(arms["fb"]["cxy_mean"][idx_half]),
-        "cxy_nofb_at_half": float(arms["nofb"]["cxy_mean"][idx_half]),
-        "pooled_se_at_half": float(math.hypot(arms["fb"]["cxy_se"][idx_half],
-                                              arms["nofb"]["cxy_se"][idx_half])),
+        "cxy_fb_at_half": None,
+        "cxy_nofb_at_half": None,
+        "pooled_se_at_half": None,
         "dist_fb_initial": float(arms["fb"]["dist_mean"][0]),
         "dist_fb_final": float(arms["fb"]["dist_mean"][-1]),
         "nofb_final_rho_mean": [[str(v) for v in row]
                                 for row in finals["nofb"].mean(axis=0)[0]],
         "lindblad_final_rho": [[str(v) for v in row] for row in rho_lind],
     }
+    if half is not None:
+        summary["cxy_fb_at_half"] = float(arms["fb"]["cxy_mean"][half])
+        summary["cxy_nofb_at_half"] = float(arms["nofb"]["cxy_mean"][half])
+        summary["pooled_se_at_half"] = float(math.hypot(arms["fb"]["cxy_se"][half],
+                                                        arms["nofb"]["cxy_se"][half]))
     write_manifest(os.path.join(out_dir, "manifest.json"), {
         "experiment": "coherence-protect", "master_seed": master_seed,
         "n_traj": n_traj, "dt": dt, "t_max": t_max,

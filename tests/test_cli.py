@@ -167,6 +167,21 @@ class TestCliInterface:
         b = (tmp_path / "b" / "coherence_protect.csv").read_bytes()
         assert a == b
 
+    def test_coherence_protect_before_half_writes_null(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["coherence-protect", "--out", str(out), "--n-traj", "3",
+                     "--t-max", "0.02"]) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"{name} written to JSON")
+
+        for text in (capsys.readouterr().out, (out / "summary.json").read_text()):
+            doc = json.loads(text, parse_constant=no_constants)
+            for key in ("cxy_fb_at_half", "cxy_nofb_at_half", "pooled_se_at_half"):
+                assert doc[key] is None
+        rows = np.loadtxt(out / "coherence_protect.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(rows).all()
+
 
 class TestInputValidation:
     def test_coherence_needs_two_trajectories(self, tmp_path, capsys):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qubitnet.core import density_from_bloch
 from qubitnet.decoherence import (
+    WARM_UP_TIME,
     NoiseParams,
     feedback_hamiltonian,
     lindblad_rhs,
@@ -81,6 +85,21 @@ class TestLindblad:
         got = simulate_lindblad(rho0, axis, p, cfg)
         np.testing.assert_allclose(got, ref, atol=1e-7)
 
+    def test_matrix_power_matches_step_loop(self):
+        p = NoiseParams()
+        axis = np.array([1.0, -0.5, 2.0])
+        rho = random_rho(np.random.default_rng(4))
+        cfg = IntegratorConfig(dt=1e-3, t_max=0.3)
+        got = simulate_lindblad(rho, axis, p, cfg)
+        h = cfg.dt
+        for _ in range(300):
+            k1 = lindblad_rhs(rho, axis, p)
+            k2 = lindblad_rhs(rho + 0.5 * h * k1, axis, p)
+            k3 = lindblad_rhs(rho + 0.5 * h * k2, axis, p)
+            k4 = lindblad_rhs(rho + h * k3, axis, p)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
+
 
 class TestSmeStep:
     def test_zero_everything_is_identity(self):
@@ -116,6 +135,45 @@ class TestSmeStep:
                               dW=rng.normal(0.0, math.sqrt(1e-4)), dt=1e-4)
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.linalg.eigvalsh(rho).min() > -1e-6
+
+
+# Bloch vectors strictly inside the ball (|p| <= 0.95), so one step at
+# dt <= 1e-5 with |dW| <= 5 sqrt(dt) cannot cross the eigenvalue guard.
+bloch_inside = arrays(float, 3, elements=st.floats(-0.548, 0.548))
+
+
+@st.composite
+def sme_batches(draw):
+    size = draw(st.integers(1, 6))
+    dt = draw(st.floats(1e-7, 1e-5))
+    bound = 5.0 * math.sqrt(dt)
+    rho = np.array([density_from_bloch(draw(bloch_inside)) for _ in range(size)])
+    axes = draw(arrays(float, (size, 3), elements=st.floats(-200.0, 200.0)))
+    dw = draw(arrays(float, size, elements=st.floats(-bound, bound)))
+    return rho, axes, dw, dt
+
+
+class TestSmeStepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(sme_batches())
+    def test_batch_stays_physical(self, batch):
+        rho, axes, dw, dt = batch
+        out, dy = sme_step(rho, axes, NoiseParams(), dw, dt)
+        assert out.shape == rho.shape and dy.shape == dw.shape
+        np.testing.assert_allclose(np.trace(out, axis1=1, axis2=2), 1.0,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out, np.swapaxes(out, 1, 2).conj())
+        assert np.linalg.eigvalsh(out).min() >= -1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(sme_batches(), st.data())
+    def test_guard_names_the_broken_member(self, batch, data):
+        rho, axes, dw, dt = batch
+        bad = data.draw(st.integers(0, len(rho) - 1))
+        # Bloch vector (0, 1.2, 0), outside the ball: eigenvalues 1.1 and -0.1
+        rho[bad] = [[0.5, -0.6j], [0.6j, 0.5]]
+        with pytest.raises(RuntimeError, match=rf"batch member \({bad},\)"):
+            sme_step(rho, axes, NoiseParams(), dw, dt)
 
 
 class TestFeedbackHamiltonian:
@@ -186,3 +244,65 @@ class TestProtectedPair:
         assert traj.final_rhos.shape == (2, 2, 2)
         for rho in traj.final_rhos:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
+
+    # the second pair has a qubit at the planar origin, so feedback is
+    # suspended for both qubits at each of the 200 steps after warm-up
+    @pytest.mark.parametrize("bloch_j, suspended", [
+        ([0.1, 0.7, -0.1], [0, 0, 0, 0]),
+        ([0.0, 0.0, 0.5], [400, 0, 0, 400]),
+    ])
+    def test_batch_members_match_single_runs(self, bloch_j, suspended):
+        p = NoiseParams()
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch(bloch_j)
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=7)
+        seeds, flags = [11, 12, 13, 14], [True, False, False, True]
+        batch = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
+        assert len(batch) == len(seeds)
+        for got, seed, fb in zip(batch, seeds, flags):
+            one = simulate_protected_pair(a, b, p, cfg, seed, feedback=fb)
+            np.testing.assert_array_equal(got.sample_times, one.sample_times)
+            for name in ("coherence", "distance", "final_rhos"):
+                np.testing.assert_allclose(getattr(got, name), getattr(one, name),
+                                           rtol=0, atol=1e-12)
+            assert got.suspended_steps == one.suspended_steps
+        assert [t.suspended_steps for t in batch] == suspended
+
+    def test_matches_scalar_reference_loop(self):
+        # one pair stepped one 2x2 matrix at a time with successive scalar
+        # draws, qubit i before qubit j at every step
+        p = NoiseParams()
+        rhos = [density_from_bloch([0.6, 0.1, 0.2]),
+                density_from_bloch([0.1, 0.7, -0.1])]
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=1)
+        traj = simulate_protected_pair(rhos[0], rhos[1], p, cfg, seed=21)
+        c0 = [2.0 * abs(r[1, 0]) for r in rhos]
+        rng = np.random.default_rng(21)
+        y_sum = [0.0, 0.0]
+        for k in range(200):
+            t = k * cfg.dt
+            axes = [np.zeros(3), np.zeros(3)]
+            if t >= WARM_UP_TIME:
+                axes = [feedback_hamiltonian(rhos[q], rhos[1 - q], c0[q],
+                                             y_sum[q] / t, p).axis for q in (0, 1)]
+            for q in (0, 1):
+                rhos[q], dy = sme_step(rhos[q], axes[q], p,
+                                       rng.normal(0.0, math.sqrt(cfg.dt)), cfg.dt)
+                y_sum[q] += dy
+            np.testing.assert_allclose(
+                traj.coherence[k + 1], [2.0 * abs(r[1, 0]) for r in rhos],
+                rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.final_rhos, rhos, rtol=0, atol=1e-12)
+
+    def test_noise_block_equals_successive_draws(self):
+        block = np.random.default_rng(5).normal(0.0, 0.01, size=(300, 2))
+        rng = np.random.default_rng(5)
+        scalar = [[rng.normal(0.0, 0.01) for _ in (0, 1)] for _ in range(300)]
+        np.testing.assert_array_equal(block, scalar)
+
+    def test_rejects_mismatched_feedback_flags(self):
+        rho = density_from_bloch([0.6, 0.0, 0.0])
+        with pytest.raises(ValueError, match="feedback flags"):
+            simulate_protected_pair(rho, rho, NoiseParams(),
+                                    IntegratorConfig(t_max=0.01), [1, 2],
+                                    feedback=[True])
