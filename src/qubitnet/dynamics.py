@@ -26,7 +26,12 @@ from scipy.optimize import linprog
 
 from .core import row_cross
 from .metrics import quantum_average
-from .protocols import chain_axes, geometry_axes, min_time_pair_hamiltonians
+from .protocols import (
+    chain_axes,
+    geometry_axes,
+    min_time_pair_hamiltonians,
+    qcme_generator,
+)
 from .topology import Topology, is_chain, is_connected
 
 
@@ -51,14 +56,6 @@ class IntegratorConfig:
 
 
 @dataclass
-class NetworkState:
-    """World-frame snapshot of all kets at one time."""
-
-    kets: np.ndarray  # (N, 2) complex
-    time: float
-
-
-@dataclass
 class Trajectory:
     """Sampled run: states, times, and named scalar metric series."""
 
@@ -77,9 +74,6 @@ class Trajectory:
         if np.iscomplexobj(self.samples):
             return _bloch_batch(self.samples)
         return self.samples
-
-    def state_at(self, k: int) -> NetworkState:
-        return NetworkState(kets=self.samples[k], time=float(self.sample_times[k]))
 
     def to_csv(self, path) -> None:
         """One row per sample: time, per-qubit Bloch components, metrics."""
@@ -212,7 +206,8 @@ def _batch(states, width: int) -> tuple[np.ndarray, bool]:
     return states.reshape(-1, width), False
 
 
-def _integrate(x, step, record, names, cfg: IntegratorConfig):
+def _integrate(x, step, record, names, cfg: IntegratorConfig,
+               keep_samples: bool = True):
     """Shared stepping driver over one (N, .) run or a batch (B, ...) with
     its members on the leading axis.
 
@@ -225,7 +220,8 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
     sample. As in a one-member run, the stop test starts at the first
     sample after a step. A single run is stepped as the plain (N, .)
     array, without a batch axis, and gives one Trajectory; a batch gives
-    one per member.
+    one per member. With keep_samples False the states are not kept and
+    every Trajectory has samples None.
     """
     stop = None
     if cfg.stop_threshold is not None:
@@ -244,7 +240,8 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
         if k % cfg.sample_every and k != n_steps:
             continue
         steps.append(k)
-        snaps.append(x)
+        if keep_samples:
+            snaps.append(x)
         values.append(np.stack(record(x)))
         if stop is None:
             continue
@@ -257,7 +254,8 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
             members, x = ids[~done], x[~done]
     times = np.array(steps) * cfg.dt
     if single:
-        return Trajectory(sample_times=times, samples=np.array(snaps),
+        return Trajectory(sample_times=times,
+                          samples=np.array(snaps) if keep_samples else None,
                           metrics=dict(zip(names, np.stack(values, axis=1))))
     ends[ends < 0] = len(steps) - 1
 
@@ -268,9 +266,11 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
     rank = np.cumsum(live.T).reshape(len(steps), size).T - 1
     take = rank[live]
     cuts = np.cumsum(ends + 1)[:-1]
-    flat = np.concatenate(snaps)
-    snaps.clear()  # keep one copy of the samples, not two, while regrouping
-    samples = np.split(flat[take], cuts)
+    samples = [None] * size
+    if keep_samples:
+        flat = np.concatenate(snaps)
+        snaps.clear()  # keep one copy of the samples, not two, while regrouping
+        samples = np.split(flat[take], cuts)
     series = np.split(np.concatenate(values, axis=1)[:, take], cuts, axis=1)
     return [
         Trajectory(
@@ -391,56 +391,60 @@ def simulate_sphere(
     return _integrate(x, step, record, ("max_angle", "pure_state_error"), cfg)
 
 
-def simulate_qcme(rho0, t: Topology, cfg: IntegratorConfig) -> Trajectory:
+def simulate_qcme(
+    rho0, t: Topology, cfg: IntegratorConfig
+) -> Trajectory | list[Trajectory]:
     """Full-network QCME run recording the 2-norm distance to the quantum average.
 
     Classic RK4 on the swap-operator generator; positivity is monitored
-    and a violation beyond 1e-6 aborts the run.
+    at every sample and a violation beyond 1e-6 aborts the run. rho0 of
+    shape (2^N, 2^N) gives one Trajectory; a (B, 2^N, 2^N) batch gives
+    one per member, each equal to its one-member run and cut at its own
+    stop sample. A run stops on its "composite_distance" series, the
+    distance of each member to its own quantum average.
     """
-    from .protocols import qcme_generator
-
     rho = np.array(rho0, dtype=complex)
     dim = 2**t.n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} density matrix for {t.n} qubits")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} density matrix or a (B, {dim}, {dim}) "
+                         f"batch for {t.n} qubits")
+    if t.n > 6:
+        raise ValueError("QCME distance tracking requires at most 6 qubits")
+    if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-9:
         raise ValueError("rho0 must have unit trace")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-9:
+    if _min_eigenvalue(rho).min() < -1e-9:
         raise ValueError("rho0 must be positive semidefinite")
 
     gen = qcme_generator(t)
-    rho_bar = quantum_average(rho) if t.n <= 6 else None
-    if rho_bar is None:
-        raise ValueError("QCME distance tracking requires at most 6 qubits")
-
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times, dists = [], []
-
-    def distance() -> float:
-        return float(np.linalg.norm(rho - rho_bar, 2))
-
-    times.append(0.0)
-    dists.append(distance())
+    rho_bar = quantum_average(rho)
+    batched = rho.ndim == 3
     dt = cfg.dt
-    for k in range(1, n_steps + 1):
-        k1 = gen(rho)
-        k2 = gen(rho + 0.5 * dt * k1)
-        k3 = gen(rho + 0.5 * dt * k2)
-        k4 = gen(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k % cfg.sample_every == 0 or k == n_steps:
-            if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-6:
-                raise RuntimeError("QCME state lost positivity; reduce the step size")
-            times.append(k * dt)
-            dists.append(distance())
-            if cfg.stop_threshold is not None and dists[-1] < cfg.stop_threshold:
-                break
+    active = slice(None)  # batch members of the rows being stepped
 
-    return Trajectory(
-        sample_times=np.array(times),
-        samples=None,
-        metrics={"composite_distance": np.array(dists)},
-    )
+    def step(x, members):
+        nonlocal active
+        active = members
+        k1 = gen(x)
+        k2 = gen(x + 0.5 * dt * k1)
+        k3 = gen(x + 0.5 * dt * k2)
+        k4 = gen(x + dt * k3)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def record(x):
+        bad = np.flatnonzero(_min_eigenvalue(x) < -1e-6)
+        if bad.size:
+            where = (f" in batch member {np.arange(len(rho))[active][bad[0]]}"
+                     if batched else "")
+            raise RuntimeError(f"QCME state lost positivity{where}; reduce the step size")
+        return (np.linalg.norm(x - rho_bar[active], 2, axis=(-2, -1)),)
+
+    return _integrate(rho, step, record, ("composite_distance",), cfg,
+                      keep_samples=False)
+
+
+def _min_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix of a stack."""
+    return np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))).min(axis=-1)
 
 
 def meeting_time(traj: Trajectory, angle_tol: float) -> float | None:

@@ -267,9 +267,16 @@ def run_scaling_sweep(
 
 
 def _product_state(points: np.ndarray) -> np.ndarray:
-    rho = density_from_bloch(points[0])
-    for u in points[1:]:
-        rho = np.kron(rho, density_from_bloch(u))
+    """Product density matrices of (..., N, 3) Bloch points, (..., 2^N, 2^N)."""
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    # (I + p . sigma) / 2 of every qubit, entry for entry as density_from_bloch
+    q = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
+    q = q.reshape(points.shape[:-1] + (2, 2))
+    rho = q[..., 0, :, :]
+    for k in range(1, points.shape[-2]):
+        d = rho.shape[-1]
+        rho = (rho[..., :, None, :, None] * q[..., k, None, :, None, :]).reshape(
+            rho.shape[:-2] + (2 * d, 2 * d))
     return rho
 
 
@@ -280,50 +287,64 @@ def symmetric_distance_series(traj: Trajectory) -> np.ndarray:
     For the swap-operator master equation the symmetrization is a
     conserved quantity, so this equals the distance to the fixed average
     state; for the Hamiltonian protocols it vanishes exactly at
-    consensus, which puts all three baselines on the same scale.
+    consensus, which puts all three baselines on the same scale. All
+    samples are rebuilt, averaged and measured as one stack.
     """
-    u = traj.bloch()
-    out = np.empty(u.shape[0])
-    for s in range(u.shape[0]):
-        rho = _product_state(u[s])
-        out[s] = float(np.linalg.norm(rho - quantum_average(rho), 2))
-    return out
+    rho = _product_state(traj.bloch())
+    rho -= quantum_average(rho)
+    return np.linalg.norm(rho, 2, axis=(-2, -1))
 
 
-def qcme_compare_cell(seed: int, master_seed: int, cap: float = QCME_CAP_ANGLE,
-                      dt: float = 1e-3, t_max: float = 20.0) -> dict:
-    """One seed of the three-way convergence-rate comparison at N = 3."""
-    rng = np.random.default_rng([master_seed, 2, seed])
-    points = cap_points(rng, 3, cap)
-    kets = kets_from_points(points)
+def qcme_compare_cells(seeds, master_seed: int, cap: float = QCME_CAP_ANGLE,
+                       dt: float = 1e-3, t_max: float = 20.0) -> list[dict]:
+    """Seeds of the three-way convergence-rate comparison at N = 3.
+
+    All seeds run as one batch per protocol and edge set, but each
+    seed's initial states depend only on the master seed and the seed,
+    so seeds can run in any order or grouping.
+    """
+    points = np.array([cap_points(np.random.default_rng([master_seed, 2, s]), 3, cap)
+                       for s in seeds])
+    kets = np.array([kets_from_points(p) for p in points])
     rho0 = _product_state(points)
     t_line, t_tri = chain(3), complete(3)
 
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=20)
     qcfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=20,
-                            stop_threshold=1e-3)
+                            stop_threshold=1e-3, stop_metric="composite_distance")
 
-    series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    tr = simulate_network(kets, t_line, "chain", cfg)
-    series["chain_eq"] = (tr.sample_times, symmetric_distance_series(tr))
-    tr = simulate_network(kets, t_line, "geometry", cfg, gain=2.0)
-    series["chain_geo"] = (tr.sample_times, symmetric_distance_series(tr))
-    tr = simulate_qcme(rho0, t_line, qcfg)
-    series["chain_qcme"] = (tr.sample_times, tr.metrics["composite_distance"])
-    tr = simulate_network(kets, t_tri, "geometry", cfg, gain=2.0)
-    series["full_geo"] = (tr.sample_times, symmetric_distance_series(tr))
-    tr = simulate_qcme(rho0, t_tri, qcfg)
-    series["full_qcme"] = (tr.sample_times, tr.metrics["composite_distance"])
+    def network(topology: Topology, protocol: str, gain: float = 1.0) -> list:
+        return [(tr.sample_times, symmetric_distance_series(tr))
+                for tr in simulate_network(kets, topology, protocol, cfg, gain=gain)]
 
-    def settle(key: str) -> float:
-        ts, ds = series[key]
+    def qcme(topology: Topology) -> list:
+        return [(tr.sample_times, tr.metrics["composite_distance"])
+                for tr in simulate_qcme(rho0, topology, qcfg)]
+
+    runs = {
+        "chain_eq": network(t_line, "chain"),
+        "chain_geo": network(t_line, "geometry", gain=2.0),
+        "chain_qcme": qcme(t_line),
+        "full_geo": network(t_tri, "geometry", gain=2.0),
+        "full_qcme": qcme(t_tri),
+    }
+
+    def settle(ts: np.ndarray, ds: np.ndarray) -> float:
         idx = np.nonzero(ds < 1e-2)[0]
         return float(ts[idx[0]]) if idx.size else math.inf
 
-    return {
-        "series": series,
-        "settling": {k: settle(k) for k in series},
-    }
+    cells = []
+    for b in range(len(points)):
+        series = {k: member[b] for k, member in runs.items()}
+        cells.append({"series": series,
+                      "settling": {k: settle(*v) for k, v in series.items()}})
+    return cells
+
+
+def qcme_compare_cell(seed: int, master_seed: int, cap: float = QCME_CAP_ANGLE,
+                      dt: float = 1e-3, t_max: float = 20.0) -> dict:
+    """One seed of the three-way convergence-rate comparison at N = 3."""
+    return qcme_compare_cells([seed], master_seed, cap, dt, t_max)[0]
 
 
 def run_qcme_compare(
@@ -339,9 +360,12 @@ def run_qcme_compare(
     Writes the distance series of the first seed for both edge sets and
     a summary with per-seed settling times and their medians.
     """
+    if n_seeds < 1:
+        raise ValueError("need at least 1 seed")
+    if not math.isfinite(cap):
+        raise ValueError(f"cap must be finite, got {cap}")
     os.makedirs(out_dir, exist_ok=True)
-    cells = [qcme_compare_cell(s, master_seed, cap, dt, t_max)
-             for s in range(n_seeds)]
+    cells = qcme_compare_cells(range(n_seeds), master_seed, cap, dt, t_max)
 
     first = cells[0]["series"]
     for name, keys in (("chain", ("chain_eq", "chain_geo", "chain_qcme")),

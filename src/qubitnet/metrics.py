@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bloch_from_density, bloch_from_ket, density_from_bloch
-from .protocols import chain_axes
+from .protocols import chain_axes, qubit_permutation
 from .topology import Topology, is_chain
-
-METRIC_NAMES = ("V", "pure_state_error", "composite_distance")
 
 
 @dataclass(frozen=True)
@@ -95,36 +93,28 @@ def composite_distance(rho, rho_bar) -> float:
     return float(np.linalg.norm(rho - rho_bar, 2))
 
 
-def _permute_qubits(rho: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """Relabel qubit factors of a 2^N x 2^N matrix: factor k <- perm[k]."""
-    n = len(perm)
-    idx = np.arange(2**n)
-    out = np.zeros_like(idx)
-    for k, src in enumerate(perm):
-        bit = (idx >> (n - 1 - src)) & 1
-        out |= bit << (n - 1 - k)
-    return rho[np.ix_(out, out)]
-
-
 def quantum_average(rho0) -> np.ndarray:
     """Symmetrization of a composite state over all qubit permutations.
 
     The permutation-invariant fixed point of the swap-operator consensus
-    dynamics on a connected graph.
+    dynamics on a connected graph. Acts on each matrix of a
+    (..., 2^N, 2^N) stack.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    dim = rho0.shape[0]
-    n = int(round(math.log2(dim)))
-    if 2**n != dim or rho0.shape != (dim, dim):
-        raise ValueError("expected a 2^N x 2^N matrix")
+    dim = rho0.shape[-1] if rho0.ndim >= 2 else 0
+    n = dim.bit_length() - 1
+    if 2**n != dim or rho0.shape[-2] != dim:
+        raise ValueError("expected a 2^N x 2^N matrix or a stack of them")
     if n > 6:
         raise ValueError(f"quantum average limited to 6 qubits, got {n}")
     acc = np.zeros_like(rho0)
     count = 0
     for perm in itertools.permutations(range(n)):
-        acc += _permute_qubits(rho0, perm)
+        p = qubit_permutation(n, perm)
+        acc += rho0[..., p[:, None], p]
         count += 1
-    return acc / count
+    acc /= count
+    return acc
 
 
 def coherence(rho) -> float:

@@ -185,27 +185,33 @@ def hamiltonian_to_body_frame(axis, U) -> np.ndarray:
     return R.T @ np.asarray(axis, dtype=float).reshape(3)
 
 
-def axis_to_body_frame(n_world, R) -> np.ndarray:
-    """R^T n: a world-frame rotation axis expressed in the body frame."""
-    R = np.asarray(R, dtype=float).reshape(3, 3)
-    return R.T @ np.asarray(n_world, dtype=float).reshape(3)
+def qubit_permutation(n: int, perm) -> np.ndarray:
+    """Basis-index relabelling of (C^2)^(x n) moving qubit factor k to perm[k].
+
+    With p = qubit_permutation(n, perm), rho[..., p[:, None], p] is rho
+    with its qubit factors permuted that way.
+    """
+    idx = np.arange(2**n)
+    out = np.zeros_like(idx)
+    for k, src in enumerate(perm):
+        # qubit 0 is the most significant bit of the basis index
+        out |= ((idx >> (n - 1 - src)) & 1) << (n - 1 - k)
+    return out
 
 
 def _swap_permutation(n: int, j: int, k: int) -> np.ndarray:
     """Basis permutation of (C^2)^(x n) exchanging qubit factors j and k."""
-    idx = np.arange(2**n)
-    # qubit 0 is the most significant bit of the basis index
-    bj = (idx >> (n - 1 - j)) & 1
-    bk = (idx >> (n - 1 - k)) & 1
-    flip = bj ^ bk
-    return idx ^ (flip << (n - 1 - j)) ^ (flip << (n - 1 - k))
+    perm = list(range(n))
+    perm[j], perm[k] = k, j
+    return qubit_permutation(n, perm)
 
 
 def qcme_generator(t: Topology):
     """Swap-operator consensus generator on 2^N x 2^N density matrices.
 
     Returns the map rho -> sum over unordered edges (j,k) of
-    w_jk (U_jk rho U_jk† - rho) with U_jk the qubit-swap permutation.
+    w_jk (U_jk rho U_jk† - rho) with U_jk the qubit-swap permutation,
+    acting on each matrix of a (..., 2^N, 2^N) stack.
     """
     n = t.n
     if n > 12:
@@ -216,7 +222,7 @@ def qcme_generator(t: Topology):
         rho = np.asarray(rho, dtype=complex)
         out = np.zeros_like(rho)
         for perm, w in terms:
-            out += w * (rho[np.ix_(perm, perm)] - rho)
+            out += w * (rho[..., perm[:, None], perm] - rho)
         return out
 
     return generator

@@ -7,6 +7,7 @@ edge-list file format and the CLI report 1-based indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +78,10 @@ def complete(n: int) -> Topology:
 def from_edge_list(text: str) -> Topology:
     """Parse an edge-list: one ``i j weight`` triple per line, 1-based indices.
 
-    Blank lines and lines starting with ``#`` are ignored.
+    Blank lines and lines starting with ``#`` are ignored. An edge may
+    be given once, in either orientation.
     """
-    triples = []
+    edges: dict[tuple[int, int], tuple[int, float]] = {}  # (i, j), i < j: line, w
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -87,18 +89,27 @@ def from_edge_list(text: str) -> Topology:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'i j weight', got {line!r}")
-        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(w):
+            raise ValueError(f"line {lineno}: weight must be finite, got {parts[2]}")
         if i < 1 or j < 1:
             raise ValueError(f"line {lineno}: indices are 1-based, got {i}, {j}")
         if i == j:
             raise ValueError(f"line {lineno}: self-loops are not allowed")
-        triples.append((i - 1, j - 1, w))
-    if not triples:
+        edge = (min(i, j), max(i, j))
+        if edge in edges:
+            raise ValueError(f"line {lineno}: duplicate edge {edge[0]} {edge[1]}, "
+                             f"first given on line {edges[edge][0]}")
+        edges[edge] = (lineno, w)
+    if not edges:
         raise ValueError("edge list is empty")
-    n = max(max(i, j) for i, j, _ in triples) + 1
+    n = max(j for _, j in edges)
     weights = np.zeros((n, n))
-    for i, j, w in triples:
-        weights[i, j] = weights[j, i] = w
+    for (i, j), (_, w) in edges.items():
+        weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
     return Topology(weights)
 
 

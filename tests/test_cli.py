@@ -190,3 +190,13 @@ class TestInputValidation:
         assert rc != 0
         assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [["--n-seeds", "0"], ["--cap", "nan"]])
+    def test_qcme_compare_rejects_before_writing(self, tmp_path, capsys, bad):
+        out = tmp_path / "q"
+        rc = main(["qcme-compare", "--out", str(out), *bad])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["type"] == "ValueError"
+        assert not out.exists()

@@ -348,6 +348,64 @@ class TestSimulateQcme:
         with pytest.raises(ValueError):
             simulate_qcme(np.eye(4), chain(2), IntegratorConfig(t_max=0.1))
 
+    @staticmethod
+    def _product(points):
+        rho = np.array([[1.0]])
+        for u in points:
+            rho = np.kron(rho, 0.5 * (np.eye(2) + u[0] * np.array([[0, 1], [1, 0]])
+                                      + u[1] * np.array([[0, -1j], [1j, 0]])
+                                      + u[2] * np.diag([1.0, -1.0])))
+        return rho
+
+    def _members(self):
+        # a symmetric state, a narrow spread and a wide one
+        rng = np.random.default_rng(5)
+        u = random_unit(rng)
+        near = np.array([u, u + 0.2 * random_unit(rng), u])
+        near /= np.linalg.norm(near, axis=1)[:, None]
+        wide = np.array([random_unit(rng) for _ in range(3)])
+        return np.array([self._product(p) for p in ([u, u, u], near, wide)])
+
+    def test_batch_members_equal_one_member_runs(self):
+        rho = self._members()
+        cfg = IntegratorConfig(dt=1e-2, t_max=3.0, sample_every=10,
+                               stop_threshold=1e-2, stop_metric="composite_distance")
+        runs = simulate_qcme(rho, chain(3), cfg)
+        assert len(runs) == 3
+        for run, member in zip(runs, rho):
+            one = simulate_qcme(member, chain(3), cfg)
+            assert run.samples is None and one.samples is None
+            np.testing.assert_array_equal(run.sample_times, one.sample_times)
+            np.testing.assert_array_equal(run.metrics["composite_distance"],
+                                          one.metrics["composite_distance"])
+        stops = [len(r.sample_times) - 1 for r in runs]
+        # the symmetric member stops at the first sample after a step, the
+        # narrow spread part way, and the wide spread runs to t_max
+        assert stops[0] == 1
+        assert 1 < stops[1] < stops[2]
+        assert runs[2].sample_times[-1] == pytest.approx(3.0)
+        assert runs[2].metrics["composite_distance"][-1] >= 1e-2
+        d = runs[1].metrics["composite_distance"]
+        assert d[-1] < 1e-2 <= d[-2]
+
+    def test_stop_metric_must_be_the_distance(self):
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, stop_threshold=1e-2)
+        with pytest.raises(ValueError, match="composite_distance"):
+            simulate_qcme(self._members()[1], chain(3), cfg)
+
+    def test_positivity_guard_names_the_member(self):
+        # RK4 at dt = 1 leaves its stability region on the complete-graph
+        # generator; the symmetric member is a fixed point and stays valid
+        rho = self._members()[[0, 2]]
+        with pytest.raises(RuntimeError, match="batch member 1;"):
+            simulate_qcme(rho, complete(3), IntegratorConfig(dt=1.0, t_max=10.0))
+
+    def test_rejects_a_bad_batch_member(self):
+        rho = self._members()
+        rho[2] *= 1.5
+        with pytest.raises(ValueError, match="unit trace"):
+            simulate_qcme(rho, chain(3), IntegratorConfig(t_max=0.1))
+
 
 class TestMeetingTime:
     def test_interpolated_crossing(self):

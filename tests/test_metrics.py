@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitnet.core import density_from_bloch, ket_from_angles, ket_from_bloch
 from qubitnet.dynamics import IntegratorConfig, simulate_network
@@ -176,6 +178,41 @@ class TestQuantumAverage:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             quantum_average(np.eye(2**7) / 2**7)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(n, H) with H a (B, 2^n, 2^n) stack of random Hermitian matrices."""
+    n = draw(st.integers(2, 4))
+    b = draw(st.integers(1, 4))
+    scale = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(b, 2**n, 2**n)) + 1j * rng.normal(size=(b, 2**n, 2**n))
+    return n, scale * (a + np.swapaxes(a.conj(), -1, -2))
+
+
+class TestQuantumAverageBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(hermitian_stacks())
+    def test_stack_properties(self, case):
+        from qubitnet.protocols import _swap_permutation
+
+        n, h = case
+        avg = quantum_average(h)
+        assert avg.shape == h.shape
+        for member, a in zip(h, avg):
+            np.testing.assert_array_equal(quantum_average(member), a)
+        tol = 1e-12 * np.abs(h).max()
+        np.testing.assert_allclose(np.trace(avg, axis1=-2, axis2=-1),
+                                   np.trace(h, axis1=-2, axis2=-1), atol=tol)
+        np.testing.assert_allclose(quantum_average(avg), avg, atol=tol)
+        for j, k in itertools.combinations(range(n), 2):
+            perm = _swap_permutation(n, j, k)
+            np.testing.assert_allclose(avg[..., perm[:, None], perm], avg, atol=tol)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            quantum_average(np.zeros((2, 8, 4)))
 
 
 class TestCompositeDistance:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from qubitnet.protocols import (
     min_time,
     min_time_pair_hamiltonians,
     min_time_plan,
+    _swap_permutation,
     qcme_generator,
+    qubit_permutation,
     two_qubit_axis,
     two_qubit_closed_form_axis,
 )
@@ -210,3 +213,37 @@ class TestQcmeGenerator:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             qcme_generator(chain(13))
+
+    def test_acts_on_each_matrix_of_a_stack(self):
+        gen = qcme_generator(chain(3))
+        rng = np.random.default_rng(4)
+        rho = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+        out = gen(rho)
+        for member, o in zip(rho, out):
+            np.testing.assert_array_equal(gen(member), o)
+
+
+class TestQubitPermutation:
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_relabels_product_factors(self, perm):
+        rng = np.random.default_rng(6)
+        factors = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                   for _ in range(3)]
+        p = qubit_permutation(3, perm)
+        rho = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        moved = [None] * 3
+        for k in range(3):
+            moved[perm[k]] = factors[k]
+        expect = np.kron(np.kron(moved[0], moved[1]), moved[2])
+        np.testing.assert_allclose(rho[p[:, None], p], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("j, k", [(0, 1), (0, 2), (1, 2)])
+    def test_swap_exchanges_two_factors(self, j, k):
+        rng = np.random.default_rng(9)
+        factors = [rng.normal(size=(2, 2)) for _ in range(3)]
+        swapped = list(factors)
+        swapped[j], swapped[k] = factors[k], factors[j]
+        p = _swap_permutation(3, j, k)
+        rho = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        expect = np.kron(np.kron(swapped[0], swapped[1]), swapped[2])
+        np.testing.assert_allclose(rho[p[:, None], p], expect, atol=1e-12)

@@ -84,6 +84,19 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             from_edge_list("2 2 1.0\n")
 
+    @pytest.mark.parametrize("second", ["1 2 5", "2 1 5"])
+    def test_rejects_duplicate_edge_naming_both_lines(self, second):
+        text = f"1 2 1\n# comment\n2 3 1\n{second}\n"
+        with pytest.raises(ValueError, match=r"line 4: duplicate edge 1 2, "
+                                             r"first given on line 1"):
+            from_edge_list(text)
+
+    @pytest.mark.parametrize("line", ["1 2.5 1", "one 2 1", "1 2 heavy",
+                                      "1 2 inf", "1 2 nan"])
+    def test_unparsable_field_names_its_line(self, line):
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            from_edge_list(f"1 2 1\n\n{line}\n")
+
 
 class TestConnectivity:
     def test_disconnected_pair(self):
