@@ -158,13 +158,13 @@ def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     arrays of a network step, np.cross's own per-call overhead costs
     more than the products.
     """
-    shape = a.shape
-    a, b = a.reshape(-1, 3), b.reshape(-1, 3)
-    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
-    return np.stack(
-        [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1
-    ).reshape(shape)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(a.shape, np.result_type(a, b))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def cross_term(psi_i, psi_j, p: int) -> float:

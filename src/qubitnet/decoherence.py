@@ -48,7 +48,10 @@ class NoiseParams:
     eta_z: float = 1.0        # detection efficiency
 
     def __post_init__(self):
-        if min(self.gamma_r, self.gamma_phi, self.gamma_z) < 0.0:
+        rates = (self.gamma_r, self.gamma_phi, self.gamma_z)
+        if not all(math.isfinite(r) for r in rates):
+            raise ValueError(f"rates must be finite, got {rates}")
+        if min(rates) < 0.0:
             raise ValueError("rates must be nonnegative")
         if not 0.0 < self.eta_z <= 1.0:
             raise ValueError("detection efficiency must be in (0, 1]")

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import row_cross
 from .metrics import quantum_average
@@ -114,9 +113,11 @@ def _bloch_batch(kets: np.ndarray) -> np.ndarray:
     a = kets[..., 0]
     b = kets[..., 1]
     ab = a.conj() * b
-    return np.stack(
-        [2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=-1
-    )
+    out = np.empty(kets.shape[:-1] + (3,))
+    out[..., 0] = 2.0 * ab.real
+    out[..., 1] = 2.0 * ab.imag
+    out[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
+    return out
 
 
 def step_ket(psi, axis, dt: float) -> np.ndarray:
@@ -127,17 +128,20 @@ def step_ket(psi, axis, dt: float) -> np.ndarray:
 
 def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
     """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary."""
-    omega = np.linalg.norm(axes, axis=-1)
+    omega = np.sqrt((axes * axes).sum(axis=-1))
     phi = omega * dt
     safe = np.where(omega > 0.0, omega, 1.0)
     e = axes / safe[..., None]
     c = np.cos(phi)
-    s = np.where(omega > 0.0, np.sin(phi), 0.0)
+    s = np.sin(phi)  # 0 where omega is 0, as sin(0) is exactly 0
     a, b = kets[..., 0], kets[..., 1]
     ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
     na = ez * a + (ex - 1j * ey) * b
     nb = (ex + 1j * ey) * a - ez * b
-    return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=-1)
+    out = np.empty(kets.shape, dtype=complex)
+    out[..., 0] = c * a - 1j * s * na
+    out[..., 1] = c * b - 1j * s * nb
+    return out
 
 
 def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
@@ -174,14 +178,34 @@ def _max_pairwise_angle(u: np.ndarray) -> np.ndarray:
     return np.arccos(dots.min(axis=(-2, -1)))
 
 
-def in_open_hemisphere(u: np.ndarray) -> bool:
+def in_open_hemisphere(u: np.ndarray) -> bool | np.ndarray:
     """True iff some unit vector c has c . u_i > 0 for every row u_i.
 
-    Solved as a small LP: maximize the margin t subject to u_i . c >= t
-    with box-bounded c; a strictly positive optimum certifies the open
-    hemisphere condition.
+    u of shape (N, 3) gives a bool; a (B, N, 3) stack gives a (B,) bool
+    array, one answer per member. A member is settled without an LP when
+    one of a few trial directions c (+-x, +-y, +-z, each row u_i and the
+    row mean, normalized) has min_i c . u_i > 1e-6: c is then a feasible
+    point of the LP below with a margin above its 1e-9 threshold, so the
+    LP would also answer True. The other members are decided by the LP:
+    maximize the margin t subject to u_i . c >= t with box-bounded c; a
+    strictly positive optimum certifies the open hemisphere condition.
     """
     u = np.asarray(u, dtype=float)
+    stack = u.reshape((-1,) + u.shape[-2:])
+    dirs = np.concatenate([stack, stack.mean(axis=-2, keepdims=True)], axis=-2)
+    norms = np.sqrt((dirs * dirs).sum(axis=-1, keepdims=True))
+    dirs /= np.where(norms > 0.0, norms, 1.0)
+    axis_margins = np.concatenate([stack.min(axis=-2), -stack.max(axis=-2)], axis=-1)
+    dir_margins = (stack @ np.swapaxes(dirs, -1, -2)).min(axis=-2)
+    inside = np.maximum(axis_margins.max(axis=-1), dir_margins.max(axis=-1)) > 1e-6
+    for b in np.flatnonzero(~inside):
+        inside[b] = _hemisphere_lp(stack[b])
+    return bool(inside[0]) if u.ndim == 2 else inside
+
+
+def _hemisphere_lp(u: np.ndarray) -> bool:
+    from scipy.optimize import linprog  # a slow import most runs never need
+
     a_ub = np.hstack([-u, np.ones((u.shape[0], 1))])
     res = linprog(
         c=[0.0, 0.0, 0.0, -1.0],
@@ -322,8 +346,8 @@ def simulate_network(
     elif protocol == "geometry":
         if not is_connected(t):
             raise ValueError("geometry protocol requires a connected topology")
-        outside = [b for b, u in enumerate(_bloch_batch(kets.reshape(-1, n, 2)))
-                   if not in_open_hemisphere(u)]
+        inside = in_open_hemisphere(_bloch_batch(kets.reshape(-1, n, 2)))
+        outside = np.flatnonzero(~inside).tolist()
         if outside:
             which = f" of batch members {outside}" if batched else ""
             warnings.warn(

@@ -4,7 +4,8 @@ Every runner writes its artifacts plus a manifest.json holding the full
 configuration, so a run can be reproduced byte-for-byte from the manifest
 alone. Per-cell random streams are derived from the master seed and the
 cell coordinates, which makes sweep results independent of execution
-order.
+order. A runner creates its output directory only once its results are
+ready, so a run that fails leaves none behind.
 """
 
 from __future__ import annotations
@@ -92,11 +93,10 @@ def run_min_time_heatmap(
     """
     if resolution < 8:
         raise ValueError("heatmap resolution must be at least 8")
-    os.makedirs(out_dir, exist_ok=True)
+    cfg = IntegratorConfig(dt=dt, t_max=20.0, stop_threshold=v_threshold)
     thetas = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 4.0)
     dphis = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 2.0)
 
-    cfg = IntegratorConfig(dt=dt, t_max=20.0, stop_threshold=v_threshold)
     spec = SettlingSpec(threshold=v_threshold, metric="V")
     cells = [(theta, dphi, 0.5 * (math.pi / 2.0 - dphi))
              for theta in thetas for dphi in dphis]
@@ -124,6 +124,7 @@ def run_min_time_heatmap(
         rows.append((theta, dphi, t1, t_min, t1 - t_min))
         max_diff = max(max_diff, t1 - t_min)
 
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "min_time_heatmap.csv")
     _write_csv(path, ["theta", "dphi", "t1", "t_min", "diff"], rows)
     write_manifest(os.path.join(out_dir, "manifest.json"), {
@@ -152,7 +153,8 @@ def run_network_experiment(
     geometric flow aligns Bloch vectors, not global phases, so V has a
     phase floor on non-chain graphs).
     """
-    os.makedirs(out_dir, exist_ok=True)
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=5,
+                           stop_threshold=None)
     rng = np.random.default_rng([seed, 0])
     if kind == "chain-run":
         t = topology if topology is not None else chain(5)
@@ -167,14 +169,13 @@ def run_network_experiment(
     else:
         raise ValueError(f"unknown network experiment kind {kind!r}")
 
-    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=5,
-                           stop_threshold=None)
     traj = simulate_network(kets_from_points(points), t, protocol, cfg, gain=gain)
     settle = settling_time(traj, SettlingSpec(threshold=1e-2, metric=metric))
     err_settle = settling_time(
         traj, SettlingSpec(threshold=1e-2, metric="pure_state_error")
     )
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{kind.replace('-', '_')}.csv")
     traj.to_csv(csv_path)
     summary = {
@@ -240,7 +241,6 @@ def run_scaling_sweep(
     """Median settling times versus network size for chains and grids."""
     if n_seeds < 3:
         raise ValueError("need at least 3 seeds per size for a median")
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     medians: dict[str, dict[int, float]] = {"chain": {}, "grid": {}}
     for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)):
@@ -254,6 +254,7 @@ def run_scaling_sweep(
             for s, v in enumerate(vals):
                 rows.append((kind, size, n_qubits, s, v))
 
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "scaling.csv")
     _write_csv(path, ["kind", "size", "n_qubits", "seed", "settling_time"], rows)
     with open(os.path.join(out_dir, "medians.json"), "w") as fh:
@@ -364,8 +365,8 @@ def run_qcme_compare(
         raise ValueError("need at least 1 seed")
     if not math.isfinite(cap):
         raise ValueError(f"cap must be finite, got {cap}")
-    os.makedirs(out_dir, exist_ok=True)
     cells = qcme_compare_cells(range(n_seeds), master_seed, cap, dt, t_max)
+    os.makedirs(out_dir, exist_ok=True)
 
     first = cells[0]["series"]
     for name, keys in (("chain", ("chain_eq", "chain_geo", "chain_qcme")),
@@ -427,13 +428,12 @@ def run_coherence_protect(
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories per arm for a standard error")
-    os.makedirs(out_dir, exist_ok=True)
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=50)
     p = params if params is not None else NoiseParams()
     rng = np.random.default_rng([master_seed, 3])
     pts = _protected_pair_initial(rng)
     rho_i = density_from_bloch(pts[0])
     rho_j = density_from_bloch(pts[1])
-    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=50)
 
     # both arms, feedback on then off, as one batch of 2 * n_traj pairs
     arm_flags = (("fb", True), ("nofb", False))
@@ -464,6 +464,7 @@ def run_coherence_protect(
                      arms["nofb"]["cxy_mean"][i], arms["nofb"]["cxy_se"][i],
                      arms["fb"]["dist_mean"][i], arms["fb"]["dist_se"][i],
                      arms["nofb"]["dist_mean"][i], arms["nofb"]["dist_se"][i]])
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "coherence_protect.csv")
     _write_csv(csv_path, ["time",
                           "cxy_fb_mean", "cxy_fb_se",
@@ -516,11 +517,12 @@ def run_sphere_twin_check(
     t_max: float = 5.0,
 ) -> dict:
     """Max pointwise gap between quantum and sphere-ODE trajectories."""
-    os.makedirs(out_dir, exist_ok=True)
+    if n_seeds < 1:
+        raise ValueError("need at least 1 seed")
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10)
     t = grid(3)
     worst = 0.0
     rows = []
-    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10)
     pts = np.array([
         hemisphere_points(np.random.default_rng([master_seed, 5, s]), t.n)
         for s in range(n_seeds)])
@@ -531,6 +533,7 @@ def run_sphere_twin_check(
         dev = float(np.max(np.abs(tq.bloch() - tc.samples)))
         rows.append((s, dev))
         worst = max(worst, dev)
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "twin_check.csv"),
                ["seed", "max_deviation"], rows)
     write_manifest(os.path.join(out_dir, "manifest.json"), {

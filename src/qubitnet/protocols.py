@@ -94,16 +94,20 @@ def chain_axes(states: np.ndarray) -> np.ndarray:
     networks.
     """
     states = np.asarray(states, dtype=complex)
-    n = states.shape[-2]
     a = states[..., :-1, :].conj()
     b = states[..., 1:, :]
     a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
     sx = a0 * b1 + a1 * b0
     sy = 1.0j * (a1 * b0 - a0 * b1)
     sz = a0 * b0 - a1 * b1
-    c = np.zeros(states.shape[:-2] + (n + 1, 3))
-    c[..., 1:n, :] = -np.stack([sx.imag, sy.imag, sz.imag], axis=-1)
-    return c[..., 1:, :] - c[..., :-1, :]
+    c = np.empty(a.shape[:-1] + (3,))  # cross terms c_1 .. c_{N-1}
+    c[..., 0] = -sx.imag
+    c[..., 1] = -sy.imag
+    c[..., 2] = -sz.imag
+    out = np.zeros(states.shape[:-1] + (3,))
+    out[..., :-1, :] = c
+    out[..., 1:, :] -= c
+    return out
 
 
 def chain_hamiltonian(states, i: int, t: Topology) -> np.ndarray:

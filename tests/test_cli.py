@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubitnet
 from qubitnet import experiments
 from qubitnet.cli import main
 
@@ -200,3 +205,65 @@ class TestInputValidation:
         assert err.count("\n") == 1
         assert json.loads(err)["type"] == "ValueError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["--gamma-r", "--gamma-phi", "--gamma-z"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_coherence_rejects_non_finite_rates(self, tmp_path, capsys, rate, value):
+        out = tmp_path / "coh"
+        rc = main(["coherence-protect", "--out", str(out), rate, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["type"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sphere-twin-check", "--n-seeds", "0"], "at least 1 seed"),
+        (["chain-run", "--dt", "-1"], "dt must be positive"),
+        (["grid-run", "--t-max", "nan"], "must be finite"),
+        (["min-time-heatmap", "--dt", "0"], "dt must be positive"),
+    ])
+    def test_rejects_before_creating_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        rc = main([argv[0], "--out", str(out), *argv[1:]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["type"] == "ValueError" and message in doc["error"]
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys):
+        edges = tmp_path / "disc.edges"
+        edges.write_text("1 2 1.0\n3 4 1.0\n")
+        out = tmp_path / "y"
+        assert main(["grid-run", "--out", str(out), "--topology", str(edges)]) == 1
+        assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+        assert not out.exists()
+
+
+class TestStartup:
+    def test_scipy_stays_unloaded(self, tmp_path):
+        """Importing the CLI and running experiments whose hemisphere checks
+        are all certified without the LP never imports scipy."""
+        script = """
+import contextlib, io, sys
+import qubitnet.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded(), loaded()
+runs = [
+    ["coherence-protect", "--n-traj", "2", "--dt", "1e-3", "--t-max", "0.05"],
+    ["grid-run", "--t-max", "0.1"],
+    ["qcme-compare", "--n-seeds", "1", "--dt", "1e-2", "--t-max", "0.5"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qubitnet.cli.main([argv[0], "--out", sys.argv[1] + "/" + argv[0],
+                                  *argv[1:]]) == 0
+    assert not loaded(), (argv[0], loaded())
+"""
+        src = str(Path(qubitnet.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from qubitnet import dynamics
 from qubitnet.core import bloch_from_ket, ket_from_bloch
@@ -87,6 +91,78 @@ class TestHemisphere:
                 if v @ c > 0.2:
                     pts.append(v)
             assert in_open_hemisphere(np.array(pts))
+
+
+def lp_open_hemisphere(u: np.ndarray) -> bool:
+    """Reference decision: the largest margin t with u_i . c >= t over the
+    box |c_k| <= 1 is strictly positive."""
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
+                  A_ub=np.hstack([-u, np.ones((len(u), 1))]), b_ub=np.zeros(len(u)),
+                  bounds=[(-1, 1)] * 3 + [(0, 2)], method="highs")
+    return bool(res.success and -res.fun > 1e-9)
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+coords = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def point_stacks(draw):
+    """(B, N, 3) stacks of unit vectors: random sets, points on one great
+    circle, sets holding an antipodal pair, and upper-hemisphere draws
+    with some rows on the equator (z = 0)."""
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "great_circle", "antipodal", "equator"]))
+    if kind == "great_circle":
+        theta, phi = draw(angles), draw(angles)
+        normal = np.array([math.sin(theta) * math.cos(phi),
+                           math.sin(theta) * math.sin(phi), math.cos(theta)])
+        e1 = _unit_rows(np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9
+                                 else [0.0, 1.0, 0.0]))
+        e2 = np.cross(normal, e1)
+        t = draw(arrays(float, (b, n, 1), elements=angles))
+        return np.cos(t) * e1 + np.sin(t) * e2
+    v = draw(arrays(float, (b, n, 3), elements=coords).filter(
+        lambda v: np.linalg.norm(v, axis=-1).min() > 1e-2))
+    if kind == "antipodal":
+        v[:, -1] = -v[:, 0]
+    elif kind == "equator":
+        v[..., 2] = np.abs(v[..., 2])
+        v[draw(arrays(bool, (b, n))), 2] = 0.0
+        assume(np.linalg.norm(v, axis=-1).min() > 1e-2)
+    return _unit_rows(v)
+
+
+class TestHemisphereMatchesLp:
+    @settings(max_examples=150, deadline=None)
+    @given(point_stacks())
+    def test_equals_lp_oracle_single_and_batched(self, stack):
+        expected = [lp_open_hemisphere(u) for u in stack]
+        single = [in_open_hemisphere(u) for u in stack]
+        assert all(type(r) is bool for r in single)
+        assert single == expected
+        batched = in_open_hemisphere(stack)
+        assert batched.shape == (len(stack),) and batched.dtype == bool
+        assert batched.tolist() == single
+
+    def test_lp_runs_only_for_uncertified_members(self, monkeypatch):
+        decided = []
+
+        def lp(u):
+            decided.append(u.copy())
+            return False
+
+        monkeypatch.setattr(dynamics, "_hemisphere_lp", lp)
+        north = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
+        antipodal = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.0, -1.0]])
+        assert in_open_hemisphere(np.stack([north, antipodal, north])).tolist() == [
+            True, False, True]
+        assert len(decided) == 1
+        np.testing.assert_array_equal(decided[0], antipodal)
 
 
 class TestSimulateNetwork:
