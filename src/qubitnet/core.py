@@ -29,6 +29,16 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
+# -i sigma_x, -i sigma_y, -i sigma_z as 4x4 real matrices acting on
+# (Re a, Im a, Re b, Im b), the layout of a (..., 2) complex ket array
+# viewed as float: an entry x + iy becomes the block [[x, -y], [y, x]].
+# Each is a signed permutation matrix, and with the identity the four have
+# their nonzeros in disjoint positions: any product that combines them
+# with coefficients has one nonzero term per entry, so it is exact.
+MINUS_I_PAULI_REAL = np.stack([
+    np.kron(m.real, np.eye(2)) + np.kron(m.imag, [[0, -1], [1, 0]]) for m in -1j * PAULI])
+
+
 class MixedDecomposition(NamedTuple):
     """Convex split rho = P/2 * I + (1-P) * pure(direction)."""
 

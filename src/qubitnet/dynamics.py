@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import row_cross
+from .core import MINUS_I_PAULI_REAL, row_cross
 from .metrics import quantum_average
 from .protocols import (
     chain_axes,
@@ -126,22 +126,28 @@ def step_ket(psi, axis, dt: float) -> np.ndarray:
     return _step_kets(psi[None, :], np.asarray(axis, float).reshape(1, 3), dt)[0]
 
 
+# (cos phi, sin(phi) e) @ _STEP_FORMS is the real 4x4 form of
+# exp(-i phi e.sigma) = cos(phi) I - i sin(phi) e.sigma, flattened.
+_STEP_FORMS = np.concatenate([np.eye(4)[None], MINUS_I_PAULI_REAL]).reshape(4, 16)
+
+
 def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary."""
+    """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary.
+
+    Works on the real (Re a, Im a, Re b, Im b) view of the kets. Each
+    entry of the real step matrix is one coefficient times 0 or +-1, so
+    building it is exact and every row's result depends only on that row.
+    """
+    r = np.ascontiguousarray(kets, dtype=complex).view(float)
     omega = np.sqrt((axes * axes).sum(axis=-1))
     phi = omega * dt
-    safe = np.where(omega > 0.0, omega, 1.0)
-    e = axes / safe[..., None]
-    c = np.cos(phi)
-    s = np.sin(phi)  # 0 where omega is 0, as sin(0) is exactly 0
-    a, b = kets[..., 0], kets[..., 1]
-    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-    na = ez * a + (ex - 1j * ey) * b
-    nb = (ex + 1j * ey) * a - ez * b
-    out = np.empty(kets.shape, dtype=complex)
-    out[..., 0] = c * a - 1j * s * na
-    out[..., 1] = c * b - 1j * s * nb
-    return out
+    coef = np.empty(r.shape)
+    coef[..., 0] = np.cos(phi)
+    # sin(0) is exactly 0, so a zero axis gets a zero rotation part
+    np.multiply(axes, (np.sin(phi) / (omega + (omega == 0.0)))[..., None],
+                out=coef[..., 1:])
+    step = (coef @ _STEP_FORMS).reshape(r.shape + (4,))
+    return np.einsum("...ij,...j->...i", step, r).view(complex)
 
 
 def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
@@ -159,10 +165,12 @@ def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _consecutive_v(kets: np.ndarray) -> np.ndarray:
-    """(N-1) - sum of Re<psi_i|psi_{i+1}> over consecutive indices, per network."""
-    overlaps = np.einsum("...ij,...ij->...i",
-                         kets[..., :-1, :].conj(), kets[..., 1:, :])
-    return kets.shape[-2] - 1 - overlaps.real.sum(axis=-1)
+    """(N-1) - sum of Re<psi_i|psi_{i+1}> over consecutive indices, per network.
+
+    Re<psi_i|psi_j> is the real dot product of the kets' real views.
+    """
+    r = np.ascontiguousarray(kets, dtype=complex).view(float)
+    return r.shape[-2] - 1 - np.einsum("...ij,...ij->...", r[..., :-1, :], r[..., 1:, :])
 
 
 def _pairwise_error(u: np.ndarray) -> np.ndarray:

@@ -76,6 +76,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
                         for v in row])
 
 
+def _finite_or_null(x: float) -> float | None:
+    """x, or None (JSON null) where it is NaN or infinite."""
+    return x if math.isfinite(x) else None
+
+
 def run_min_time_heatmap(
     out_dir: str,
     resolution: int = 32,
@@ -388,8 +393,11 @@ def run_qcme_compare(
         _write_csv(os.path.join(out_dir, f"qcme_compare_{name}.csv"),
                    ["time"] + list(keys), rows)
 
+    # An unsettled seed (math.inf) counts as later than t_max in its median;
+    # JSON gets null for it and for a median that is itself unsettled.
     settling = {k: [c["settling"][k] for c in cells] for k in first}
-    medians = {k: float(np.median(v)) for k, v in settling.items()}
+    medians = {k: _finite_or_null(float(np.median(v))) for k, v in settling.items()}
+    settling = {k: [_finite_or_null(t) for t in v] for k, v in settling.items()}
     summary = {"settling": settling, "medians": medians,
                "n_seeds": n_seeds, "cap": cap}
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import cross_vector, row_cross, so3_from_su2
+from .core import MINUS_I_PAULI_REAL, row_cross, so3_from_su2
 from .topology import Topology, is_chain
 
 DEGENERACY_TOL = 1e-9
@@ -85,26 +85,25 @@ def min_time_pair_hamiltonians(s_i, s_j) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * axis, -0.5 * axis
 
 
+# For the real view r_i of ket i, row p of (r_i @ _CROSS_FORMS).reshape(3, 4)
+# is the bilinear form -Im<psi_i|sigma_p|.>, so c_p = row p . r_{i+1}. Each
+# column holds one +-1, so the product is exact.
+_CROSS_FORMS = -np.concatenate(MINUS_I_PAULI_REAL, axis=1)
+
+
 def chain_axes(states: np.ndarray) -> np.ndarray:
     """Chain-protocol axes for all qubits, shape (..., N, 3).
 
     Axis components are the signed differences of consecutive cross
     terms: the first node gets +c_1, interior node i gets c_i - c_{i-1},
     and the last node gets -c_{N-1}. Leading axes index independent
-    networks.
+    networks. The cross terms c_i = -Im<psi_i|sigma|psi_{i+1}> come from
+    the real (Re a, Im a, Re b, Im b) view of the kets.
     """
-    states = np.asarray(states, dtype=complex)
-    a = states[..., :-1, :].conj()
-    b = states[..., 1:, :]
-    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    sx = a0 * b1 + a1 * b0
-    sy = 1.0j * (a1 * b0 - a0 * b1)
-    sz = a0 * b0 - a1 * b1
-    c = np.empty(a.shape[:-1] + (3,))  # cross terms c_1 .. c_{N-1}
-    c[..., 0] = -sx.imag
-    c[..., 1] = -sy.imag
-    c[..., 2] = -sz.imag
-    out = np.zeros(states.shape[:-1] + (3,))
+    r = np.ascontiguousarray(states, dtype=complex).view(float)
+    forms = (r[..., :-1, :] @ _CROSS_FORMS).reshape(r.shape[:-2] + (-1, 3, 4))
+    c = np.einsum("...pj,...j->...p", forms, r[..., 1:, :])  # c_1 .. c_{N-1}
+    out = np.zeros(r.shape[:-1] + (3,))
     out[..., :-1, :] = c
     out[..., 1:, :] -= c
     return out
@@ -171,16 +170,16 @@ def geometry_axes(
 
     With weight_fn, the static weight a_ij is multiplied by
     weight_fn(|x_i - x_j|); the default keeps the constant graph weights.
-    Leading axes index independent networks on the same topology.
+    Leading axes index independent networks on the same topology. The
+    axis is x_i x sum_j w_ij x_j: the tangent projection of geometry_axis
+    changes nothing, since x_i x x_i = 0.
     """
     x = np.asarray(x, dtype=float)
     w = t.weights
     if weight_fn is not None:
         d = np.linalg.norm(x[..., :, None, :] - x[..., None, :, :], axis=-1)
         w = w * np.vectorize(weight_fn)(d)
-    acc = w @ x
-    tangent = acc - (np.einsum("...ij,...ij->...i", x, acc))[..., None] * x
-    return row_cross(x, tangent)
+    return row_cross(x, w @ x)
 
 
 def hamiltonian_to_body_frame(axis, U) -> np.ndarray:

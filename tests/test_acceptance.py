@@ -80,11 +80,13 @@ def test_closed_form_axis_matches_chain_protocol():
 def test_chain_convergence():
     """chain(5): V monotone, decay terms nonpositive, finite settling."""
     worst_rise, worst_w, worst_t2 = 0.0, -np.inf, 0.0
+    kets = []
     for seed in range(10):
         rng = np.random.default_rng([102, seed])
-        kets = np.array([ket_from_bloch(_random_unit(rng)) for _ in range(5)])
-        cfg = IntegratorConfig(dt=1e-3, t_max=50.0, sample_every=10)
-        traj = simulate_network(kets, chain(5), "chain", cfg)
+        kets.append([ket_from_bloch(_random_unit(rng)) for _ in range(5)])
+    cfg = IntegratorConfig(dt=1e-3, t_max=50.0, sample_every=10)
+    # all seeds as one (10, 5, 2) batch; each member equals its one-seed run
+    for traj in simulate_network(np.array(kets), chain(5), "chain", cfg):
         v = traj.metrics["V"]
         worst_rise = max(worst_rise, float(np.max(np.diff(v), initial=0.0)))
         worst_w = max(worst_w, float(np.max(traj.metrics["W_max"])))
@@ -181,8 +183,7 @@ def test_qcme_comparison_ordering():
     """Geometric protocol settles faster than the swap-operator master
     equation on both 3-qubit edge sets; the chain protocol settles slower
     than it on the chain. Medians over 10 seeds."""
-    cells = [experiments.qcme_compare_cell(s, master_seed=0)
-             for s in range(10)]
+    cells = experiments.qcme_compare_cells(range(10), master_seed=0)
     med = {k: float(np.median([c["settling"][k] for c in cells]))
            for k in cells[0]["settling"]}
     print("PASS qcme ordering: "

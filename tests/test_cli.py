@@ -163,6 +163,36 @@ class TestCliInterface:
         assert (tmp_path / "q" / "qcme_compare_chain.csv").exists()
         assert (tmp_path / "q" / "qcme_compare_full.csv").exists()
 
+    def test_qcme_compare_unsettled_writes_null(self, tmp_path, capsys):
+        out = tmp_path / "q"
+        assert main(["qcme-compare", "--out", str(out), "--n-seeds", "1",
+                     "--t-max", "0.1"]) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"{name} written to JSON")
+
+        for text in (capsys.readouterr().out, (out / "summary.json").read_text()):
+            doc = json.loads(text, parse_constant=no_constants)
+            assert set(doc["medians"]) == set(doc["settling"])
+            for k, times in doc["settling"].items():
+                assert times == [None]
+                assert doc["medians"][k] is None
+
+    def test_qcme_compare_median_counts_unsettled_as_late(self, tmp_path, monkeypatch):
+        times = {"chain_eq": [1.0, 2.0, math.inf], "chain_geo": [1.0, math.inf, math.inf],
+                 "chain_qcme": [3.0, 1.0, 2.0], "full_geo": [math.inf] * 3,
+                 "full_qcme": [1.0, 1.0, 1.0]}
+        series = (np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+        cells = [{"series": {k: series for k in times},
+                  "settling": {k: v[b] for k, v in times.items()}} for b in range(3)]
+        monkeypatch.setattr(experiments, "qcme_compare_cells", lambda *a: cells)
+        summary = experiments.run_qcme_compare(str(tmp_path / "q"), n_seeds=3)
+        assert summary["medians"] == {"chain_eq": 2.0, "chain_geo": None,
+                                      "chain_qcme": 2.0, "full_geo": None,
+                                      "full_qcme": 1.0}
+        assert summary["settling"]["chain_eq"] == [1.0, 2.0, None]
+        assert cells[0]["settling"]["full_geo"] == math.inf  # cells keep inf
+
     def test_coherence_protect_deterministic_bytes(self, tmp_path):
         args = lambda d: ["coherence-protect", "--out", str(d), "--n-traj",
                           "3", "--t-max", "0.02", "--seed", "9"]

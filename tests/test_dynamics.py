@@ -8,7 +8,13 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from qubitnet import dynamics
-from qubitnet.core import bloch_from_ket, ket_from_bloch
+from qubitnet.core import (
+    MINUS_I_PAULI_REAL,
+    PAULI,
+    bloch_from_ket,
+    cross_vector,
+    ket_from_bloch,
+)
 from qubitnet.dynamics import (
     IntegratorConfig,
     Trajectory,
@@ -20,9 +26,9 @@ from qubitnet.dynamics import (
     step_ket,
     topology_hash,
 )
-from qubitnet.metrics import quantum_average
-from qubitnet.protocols import chain_axes, geometry_axes
-from qubitnet.topology import chain, complete, grid
+from qubitnet.metrics import lyapunov_V, quantum_average
+from qubitnet.protocols import chain_axes, geometry_axes, geometry_axis
+from qubitnet.topology import Topology, chain, complete, grid
 
 RNG = np.random.default_rng(11)
 
@@ -163,6 +169,132 @@ class TestHemisphereMatchesLp:
             True, False, True]
         assert len(decided) == 1
         np.testing.assert_array_equal(decided[0], antipodal)
+
+
+def _step_kets_complex(kets, axes, dt):
+    """Reference exp(-i dt n.sigma) on complex kets, by the closed-form formula."""
+    omega = np.sqrt((axes * axes).sum(axis=-1))
+    phi = omega * dt
+    e = axes / np.where(omega > 0.0, omega, 1.0)[..., None]
+    c, s = np.cos(phi), np.sin(phi)
+    a, b = kets[..., 0], kets[..., 1]
+    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
+    na = ez * a + (ex - 1j * ey) * b
+    nb = (ex + 1j * ey) * a - ez * b
+    return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=-1)
+
+
+@st.composite
+def ket_batches(draw):
+    """(B, N, 2) unit kets, B 1..4, N 2..8."""
+    b, n = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    v = draw(arrays(float, (b, n, 4), elements=coords).filter(
+        lambda v: np.linalg.norm(v, axis=-1).min() > 1e-2))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return v.view(complex)
+
+
+@st.composite
+def axis_batches(draw, shape):
+    """Axes of the given (..., 3) shape with sizes up to 1e3 and exact zeros."""
+    scale = draw(arrays(float, shape[:-1] + (1,), elements=st.sampled_from(
+        [0.0, 1e-3, 1.0, 1e3])))
+    return scale * draw(arrays(float, shape, elements=st.one_of(st.just(0.0), coords)))
+
+
+def _random_batch(rng, size, n):
+    kets = rng.normal(size=(size, n, 4))
+    kets = (kets / np.linalg.norm(kets, axis=-1, keepdims=True)).view(complex)
+    axes = rng.normal(size=(size, n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(size, n, 1))
+    axes[rng.random((size, n)) < 0.2] = 0.0
+    return kets, axes
+
+
+def _kernels(kets, axes, dt, t):
+    x = dynamics._bloch_batch(kets)
+    return {"step": dynamics._step_kets(kets, axes, dt), "chain_axes": chain_axes(kets),
+            "V": dynamics._consecutive_v(kets), "bloch": x,
+            "geometry_axes": geometry_axes(x, t)}
+
+
+class TestRealViewKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_step_matches_complex_formula(self, data):
+        kets = data.draw(ket_batches())
+        axes = data.draw(axis_batches(kets.shape[:-1] + (3,)))
+        dt = data.draw(st.floats(0.0, 0.1))
+        out = dynamics._step_kets(kets, axes, dt)
+        assert out.shape == kets.shape and out.dtype == complex
+        np.testing.assert_allclose(out, _step_kets_complex(kets, axes, dt),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, rtol=0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ket_batches())
+    def test_chain_axes_are_cross_vector_differences(self, kets):
+        c = np.array([[cross_vector(p[i], p[i + 1]) for i in range(len(p) - 1)]
+                      for p in kets])
+        expected = np.zeros(kets.shape[:-1] + (3,))
+        expected[:, :-1] += c
+        expected[:, 1:] -= c
+        np.testing.assert_allclose(chain_axes(kets), expected, rtol=0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ket_batches())
+    def test_bloch_and_v_match_scalar_forms(self, kets):
+        n = kets.shape[1]
+        np.testing.assert_allclose(
+            dynamics._bloch_batch(kets),
+            [[bloch_from_ket(psi) for psi in p] for p in kets], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dynamics._consecutive_v(kets),
+                                   [lyapunov_V(p, chain(n)) for p in kets],
+                                   rtol=0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_stacks(), st.data())
+    def test_geometry_axes_match_projected_axis(self, x, data):
+        n = x.shape[1]
+        w = data.draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        t = Topology(weights=w)
+        expected = [[geometry_axis(p[i], [(p[j], w[i, j]) for j in range(n)])
+                     for i in range(n)] for p in x]
+        np.testing.assert_allclose(geometry_axes(x, t), expected,
+                                   rtol=0, atol=1e-14 * (1.0 + w.sum()))
+
+    @pytest.mark.parametrize("layout", ["fortran", "every_other_qubit", "reversed_qubits"])
+    def test_strided_input_matches_contiguous_copy(self, layout):
+        kets, axes = _random_batch(np.random.default_rng(7), 3, 10)
+        strided = {"fortran": np.asfortranarray(kets),
+                   "every_other_qubit": kets[:, ::2],
+                   "reversed_qubits": kets[:, ::-1]}[layout]
+        axes = axes[:, : strided.shape[1]]
+        assert not strided.flags.c_contiguous
+        t = chain(strided.shape[1])
+        got = _kernels(strided, axes, 0.05, t)
+        for name, value in _kernels(np.ascontiguousarray(strided), axes, 0.05, t).items():
+            np.testing.assert_array_equal(got[name], value, err_msg=name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 64]), st.integers(2, 8))
+    def test_batch_members_equal_one_member_calls(self, seed, size, n):
+        kets, axes = _random_batch(np.random.default_rng(seed), size, n)
+        t = grid(2) if n == 4 else chain(n)
+        batched = _kernels(kets, axes, 0.05, t)
+        for b in range(size):
+            for name, value in _kernels(kets[b], axes[b], 0.05, t).items():
+                np.testing.assert_array_equal(batched[name][b], value, err_msg=name)
+
+    def test_real_forms_act_as_minus_i_pauli(self):
+        psi = np.random.default_rng(3).normal(size=4).view(complex)
+        for p in range(3):
+            np.testing.assert_array_equal(MINUS_I_PAULI_REAL[p] @ psi.view(float),
+                                          (-1j * PAULI[p] @ psi).view(float))
+        forms = np.concatenate([np.eye(4)[None], MINUS_I_PAULI_REAL])
+        assert set(np.unique(forms)) <= {-1.0, 0.0, 1.0}
+        # one nonzero per entry across I and the three forms: products are exact
+        np.testing.assert_array_equal(np.abs(forms).sum(axis=0), np.ones((4, 4)))
 
 
 class TestSimulateNetwork:
