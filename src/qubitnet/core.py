@@ -176,27 +176,3 @@ def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[..., 2] = a0 * b1 - a1 * b0
     return out
 
-
-def cross_term(psi_i, psi_j, p: int) -> float:
-    """Re(i <psi_i| sigma_p |psi_j>) for Pauli axis p in {1, 2, 3}.
-
-    The building block of the chain-graph protocol; antisymmetric in its
-    ket arguments and zero on the diagonal.
-    """
-    if p not in (1, 2, 3):
-        raise ValueError(f"Pauli axis must be 1, 2 or 3, got {p}")
-    psi_i = _as_ket(psi_i)
-    psi_j = _as_ket(psi_j)
-    val = psi_i.conj() @ (PAULI[p - 1] @ psi_j)
-    return float((1.0j * val).real)
-
-
-def cross_vector(psi_i, psi_j) -> np.ndarray:
-    """All three cross terms at once, as a real 3-vector."""
-    psi_i = np.asarray(psi_i, dtype=complex)
-    psi_j = np.asarray(psi_j, dtype=complex)
-    a = psi_i.conj()
-    sx = a[0] * psi_j[1] + a[1] * psi_j[0]
-    sy = 1.0j * (a[1] * psi_j[0] - a[0] * psi_j[1])
-    sz = a[0] * psi_j[0] - a[1] * psi_j[1]
-    return np.array([-sx.imag, -sy.imag, -sz.imag])

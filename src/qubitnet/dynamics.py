@@ -15,7 +15,6 @@ equivalence holds step by step, not only in the continuum limit).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import warnings
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MINUS_I_PAULI_REAL, row_cross
-from .metrics import quantum_average
+from .metrics import lyapunov_decay_terms, quantum_average
 from .protocols import (
     chain_axes,
     geometry_axes,
@@ -76,31 +75,19 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """One row per sample: time, per-qubit Bloch components, metrics."""
+        u = self.bloch()  # raises before the file exists when there are no samples
         names = sorted(self.metrics)
+        header = ["time"]
+        for i in range(1, u.shape[1] + 1):  # CLI reports 1-based qubit indices
+            header += [f"q{i}_x", f"q{i}_y", f"q{i}_z"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if self.samples is not None:
-                u = self.bloch()
-                n = u.shape[1]
-                header = ["time"]
-                for i in range(1, n + 1):  # CLI reports 1-based qubit indices
-                    header += [f"q{i}_x", f"q{i}_y", f"q{i}_z"]
-                writer.writerow(header + names)
-                for k, t in enumerate(self.sample_times):
-                    row = [repr(float(t))]
-                    row += [repr(float(v)) for v in u[k].ravel()]
-                    row += [repr(float(self.metrics[m][k])) for m in names]
-                    writer.writerow(row)
-            else:
-                writer.writerow(["time"] + names)
-                for k, t in enumerate(self.sample_times):
-                    row = [repr(float(t))]
-                    row += [repr(float(self.metrics[m][k])) for m in names]
-                    writer.writerow(row)
-
-
-def topology_hash(t: Topology) -> str:
-    return hashlib.sha256(t.weights.tobytes()).hexdigest()
+            writer.writerow(header + names)
+            for k, t in enumerate(self.sample_times):
+                row = [repr(float(t))]
+                row += [repr(float(v)) for v in u[k].ravel()]
+                row += [repr(float(self.metrics[m][k])) for m in names]
+                writer.writerow(row)
 
 
 def write_manifest(path, config: dict) -> None:
@@ -118,12 +105,6 @@ def _bloch_batch(kets: np.ndarray) -> np.ndarray:
     out[..., 1] = 2.0 * ab.imag
     out[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
     return out
-
-
-def step_ket(psi, axis, dt: float) -> np.ndarray:
-    """Advance one ket by exp(-i dt (axis . sigma)), closed form."""
-    psi = np.asarray(psi, dtype=complex).reshape(2)
-    return _step_kets(psi[None, :], np.asarray(axis, float).reshape(1, 3), dt)[0]
 
 
 # (cos phi, sin(phi) e) @ _STEP_FORMS is the real 4x4 form of
@@ -320,7 +301,6 @@ def simulate_network(
     protocol: str,
     cfg: IntegratorConfig,
     gain: float = 1.0,
-    weight_fn=None,
 ) -> Trajectory | list[Trajectory]:
     """Synchronous closed-loop run of a protocol over a qubit network.
 
@@ -365,7 +345,7 @@ def simulate_network(
             )
 
         def step(x, members):
-            axes = (0.5 * gain) * geometry_axes(_bloch_batch(x), t, weight_fn)
+            axes = (0.5 * gain) * geometry_axes(_bloch_batch(x), t)
             return _step_kets(x, axes, dt)
 
     else:  # min-time
@@ -384,7 +364,7 @@ def simulate_network(
     def record(x):
         out = [_consecutive_v(x), _pairwise_error(_bloch_batch(x))]
         if protocol == "chain":
-            out.append((-np.sum(chain_axes(x) ** 2, axis=-1)).max(axis=-1))
+            out.append(lyapunov_decay_terms(x).max(axis=-1))
         return out
 
     return _integrate(kets, step, record, names, cfg)
@@ -395,7 +375,6 @@ def simulate_sphere(
     t: Topology,
     cfg: IntegratorConfig,
     gain: float = 1.0,
-    weight_fn=None,
 ) -> Trajectory | list[Trajectory]:
     """Classical twin of the quantum geometric protocol on the 2-sphere.
 
@@ -413,7 +392,7 @@ def simulate_sphere(
         raise ValueError("initial vectors must be unit")
 
     def step(x, members):
-        x = _rotate_vectors(x, gain * geometry_axes(x, t, weight_fn), cfg.dt)
+        x = _rotate_vectors(x, gain * geometry_axes(x, t), cfg.dt)
         x /= np.linalg.norm(x, axis=-1)[..., None]
         return x
 

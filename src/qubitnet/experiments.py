@@ -28,6 +28,7 @@ from .dynamics import (
     write_manifest,
 )
 from .metrics import SettlingSpec, quantum_average, settling_time
+from .protocols import min_time
 from .topology import Topology, chain, complete, grid
 
 QCME_CAP_ANGLE = 0.8  # cap radius (rad) for qcme-compare initial spreads
@@ -121,7 +122,7 @@ def run_min_time_heatmap(
         s2 = np.array([math.sin(theta) * math.cos(phi1 + dphi),
                        math.sin(theta) * math.sin(phi1 + dphi),
                        math.cos(theta)])
-        t_min = 0.5 * math.acos(min(1.0, max(-1.0, float(s1 @ s2))))
+        t_min = min_time(s1, s2)
         if t1 is None:
             raise RuntimeError(
                 f"cell theta={theta:.4f} dphi={dphi:.4f} did not settle"
@@ -345,12 +346,6 @@ def qcme_compare_cells(seeds, master_seed: int, cap: float = QCME_CAP_ANGLE,
         cells.append({"series": series,
                       "settling": {k: settle(*v) for k, v in series.items()}})
     return cells
-
-
-def qcme_compare_cell(seed: int, master_seed: int, cap: float = QCME_CAP_ANGLE,
-                      dt: float = 1e-3, t_max: float = 20.0) -> dict:
-    """One seed of the three-way convergence-rate comparison at N = 3."""
-    return qcme_compare_cells([seed], master_seed, cap, dt, t_max)[0]
 
 
 def run_qcme_compare(

@@ -1,21 +1,19 @@
-"""Scalar diagnostics for consensus runs.
+"""Diagnostics for consensus runs.
 
-Lyapunov function and its decay terms for the chain protocol, pairwise
-density-matrix error norms, settling times, composite-state distance,
-the permutation quantum average, and the planar coherence function.
+The per-node decay terms of the chain protocol's Lyapunov function,
+settling times, and the permutation quantum average. The Lyapunov
+function V and the pure-state error are the "V" and "pure_state_error"
+series that simulate_network records.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bloch_from_density, bloch_from_ket, density_from_bloch
 from .protocols import chain_axes, qubit_permutation
-from .topology import Topology, is_chain
 
 
 @dataclass(frozen=True)
@@ -30,45 +28,14 @@ class SettlingSpec:
             raise ValueError("settling threshold must be positive")
 
 
-def lyapunov_V(states, t: Topology) -> float:
-    """Half the summed squared ket distance over consecutive chain pairs.
+def lyapunov_decay_terms(kets) -> np.ndarray:
+    """Per-qubit decay terms W_i of dV/dt under the chain protocol, shape (..., N).
 
-    Equals (N-1) - sum Re<psi_i|psi_{i+1}>, in [0, 2(N-1)]. Sensitive to
-    global phases by construction.
+    Each W_i is minus the squared norm of the qubit's chain-protocol axis,
+    so W_i <= 0 everywhere and sum W_i = dV/dt along a chain trajectory.
+    kets has shape (..., N, 2); leading axes index independent networks.
     """
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] < 2:
-        raise ValueError("need at least 2 states")
-    if not is_chain(t):
-        raise ValueError("the Lyapunov function is defined on a chain topology")
-    overlaps = np.einsum("ij,ij->i", states[:-1].conj(), states[1:])
-    return float(states.shape[0] - 1 - overlaps.real.sum())
-
-
-def lyapunov_decay_terms(states, t: Topology) -> np.ndarray:
-    """Per-qubit decay terms W_i of dV/dt under the chain protocol.
-
-    Each W_i is minus the squared norm of the qubit's protocol axis, so
-    W_i <= 0 everywhere and sum W_i = dV/dt along a trajectory.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] < 2:
-        raise ValueError("need at least 2 states")
-    if not is_chain(t):
-        raise ValueError("decay terms are defined on a chain topology")
-    return -np.sum(chain_axes(states) ** 2, axis=1)
-
-
-def pure_state_error(states) -> float:
-    """Max pairwise Frobenius distance between the pure densities of the kets."""
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] < 2:
-        raise ValueError("need at least 2 states")
-    rhos = [density_from_bloch(bloch_from_ket(psi)) for psi in states]
-    worst = 0.0
-    for a, b in itertools.combinations(rhos, 2):
-        worst = max(worst, float(np.linalg.norm(a - b, "fro")))
-    return worst
+    return -np.sum(chain_axes(kets) ** 2, axis=-1)
 
 
 def settling_time(traj, spec: SettlingSpec) -> float | None:
@@ -82,15 +49,6 @@ def settling_time(traj, spec: SettlingSpec) -> float | None:
     if below.size == 0:
         return None
     return float(traj.sample_times[below[0]])
-
-
-def composite_distance(rho, rho_bar) -> float:
-    """Spectral norm of rho - rho_bar."""
-    rho = np.asarray(rho, dtype=complex)
-    rho_bar = np.asarray(rho_bar, dtype=complex)
-    if rho.shape != rho_bar.shape:
-        raise ValueError(f"shape mismatch: {rho.shape} vs {rho_bar.shape}")
-    return float(np.linalg.norm(rho - rho_bar, 2))
 
 
 def quantum_average(rho0) -> np.ndarray:
@@ -115,9 +73,3 @@ def quantum_average(rho0) -> np.ndarray:
         count += 1
     acc /= count
     return acc
-
-
-def coherence(rho) -> float:
-    """Planar Bloch radius sqrt(<sx>^2 + <sy>^2) of a single-qubit state."""
-    p = bloch_from_density(rho)
-    return float(math.hypot(p[0], p[1]))

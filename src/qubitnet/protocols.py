@@ -9,13 +9,11 @@ and why the integrator halves the geometric axis (see dynamics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import MINUS_I_PAULI_REAL, row_cross, so3_from_su2
-from .topology import Topology, is_chain
+from .core import MINUS_I_PAULI_REAL, row_cross
+from .topology import Topology
 
 DEGENERACY_TOL = 1e-9
 
@@ -26,18 +24,6 @@ class ParallelStatesError(ValueError):
 
 class AntiparallelStatesError(ValueError):
     """Antipodal Bloch vectors: the rotation axis is undefined."""
-
-
-@dataclass(frozen=True)
-class MinTimePlan:
-    """Single-rotation plan meeting at the geodesic midpoint."""
-
-    axis: np.ndarray          # unit normal of the plane spanned by the endpoints
-    total_angle: float        # angle between the endpoints, in [0, pi]
-    meet_time: float          # total_angle / 2
-
-    def __post_init__(self):
-        assert abs(self.meet_time - self.total_angle / 2.0) < 1e-15
 
 
 def _check_unit(v, name: str) -> np.ndarray:
@@ -66,12 +52,6 @@ def min_time(s_i, s_j) -> float:
     s_j = _check_unit(s_j, "s_j")
     dot = min(1.0, max(-1.0, float(s_i @ s_j)))
     return 0.5 * math.acos(dot)
-
-
-def min_time_plan(s_i, s_j) -> MinTimePlan:
-    axis = two_qubit_axis(s_i, s_j)
-    t = min_time(s_i, s_j)
-    return MinTimePlan(axis=axis, total_angle=2.0 * t, meet_time=t)
 
 
 def min_time_pair_hamiltonians(s_i, s_j) -> tuple[np.ndarray, np.ndarray]:
@@ -109,21 +89,6 @@ def chain_axes(states: np.ndarray) -> np.ndarray:
     return out
 
 
-def chain_hamiltonian(states, i: int, t: Topology) -> np.ndarray:
-    """Axis of the chain-protocol Hamiltonian for qubit i (0-based)."""
-    if not is_chain(t):
-        raise ValueError("chain protocol requires a chain topology")
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] != t.n:
-        raise ValueError("number of states does not match the topology")
-    if not 0 <= i < t.n:
-        raise ValueError(f"node index {i} out of range")
-    norms = np.linalg.norm(states, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ValueError("states must be normalized kets")
-    return chain_axes(states)[i]
-
-
 def two_qubit_closed_form_axis(
     theta_i: float, phi_i: float, theta_j: float, phi_j: float
 ) -> np.ndarray:
@@ -145,47 +110,16 @@ def two_qubit_closed_form_axis(
     )
 
 
-WeightFn = Callable[[float], float]
+def geometry_axes(x: np.ndarray, t: Topology) -> np.ndarray:
+    """Geometric-protocol axes x_i x sum_j w_ij x_j for all qubits, shape (..., N, 3).
 
-
-def geometry_axis(x_i, nbrs) -> np.ndarray:
-    """Rotation axis x_i x ((I - x_i x_i^T) sum_j w_ij x_j).
-
-    The projection keeps only the tangential part of the weighted
-    neighbor sum, so the axis is exactly perpendicular to x_i. A zero
-    axis is a legitimate output at equilibria.
-    """
-    x_i = _check_unit(x_i, "x_i")
-    acc = np.zeros(3)
-    for x_j, w in nbrs:
-        acc += w * _check_unit(x_j, "x_j")
-    tangent = acc - (x_i @ acc) * x_i
-    return np.cross(x_i, tangent)
-
-
-def geometry_axes(
-    x: np.ndarray, t: Topology, weight_fn: WeightFn | None = None
-) -> np.ndarray:
-    """Geometric-protocol axes for all qubits, shape (..., N, 3).
-
-    With weight_fn, the static weight a_ij is multiplied by
-    weight_fn(|x_i - x_j|); the default keeps the constant graph weights.
     Leading axes index independent networks on the same topology. The
-    axis is x_i x sum_j w_ij x_j: the tangent projection of geometry_axis
-    changes nothing, since x_i x x_i = 0.
+    axis is perpendicular to x_i, and projecting the neighbour sum onto
+    the tangent plane at x_i would change nothing, since x_i x x_i = 0.
+    A zero axis is a legitimate output at equilibria.
     """
     x = np.asarray(x, dtype=float)
-    w = t.weights
-    if weight_fn is not None:
-        d = np.linalg.norm(x[..., :, None, :] - x[..., None, :, :], axis=-1)
-        w = w * np.vectorize(weight_fn)(d)
-    return row_cross(x, w @ x)
-
-
-def hamiltonian_to_body_frame(axis, U) -> np.ndarray:
-    """Axis of U† (axis . sigma) U: the world axis seen in the body frame."""
-    R = so3_from_su2(U)
-    return R.T @ np.asarray(axis, dtype=float).reshape(3)
+    return row_cross(x, t.weights @ x)
 
 
 def qubit_permutation(n: int, perm) -> np.ndarray:

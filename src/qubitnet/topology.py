@@ -113,14 +113,6 @@ def from_edge_list(text: str) -> Topology:
     return Topology(weights)
 
 
-def neighbors(t: Topology, i: int) -> list[tuple[int, float]]:
-    """All (j, weight) pairs with a positive-weight edge to node i."""
-    if not 0 <= i < t.n:
-        raise ValueError(f"node index {i} out of range for {t.n} nodes")
-    (js,) = np.nonzero(t.weights[i])
-    return [(int(j), float(t.weights[i, j])) for j in js]
-
-
 def is_connected(t: Topology) -> bool:
     """Breadth-first reachability over positive-weight edges."""
     seen = np.zeros(t.n, dtype=bool)

@@ -9,8 +9,6 @@ from qubitnet.core import (
     bloch_from_density,
     bloch_from_ket,
     conjugate,
-    cross_term,
-    cross_vector,
     decompose,
     density_from_bloch,
     ket_from_angles,
@@ -19,6 +17,7 @@ from qubitnet.core import (
     so3_from_su2,
     su2_from_axis_angle,
 )
+from qubitnet.protocols import chain_axes
 
 RNG = np.random.default_rng(42)
 
@@ -223,37 +222,36 @@ class TestConjugate:
             ) < 1e-12
 
 
-class TestCrossTerm:
-    def test_known_values(self):
-        assert cross_term([1, 0], [0, 1], 2) == pytest.approx(1.0, abs=1e-12)
-        assert cross_term([1, 0], [0, 1], 1) == pytest.approx(0.0, abs=1e-12)
-        for p in (1, 2, 3):
-            assert cross_term([1, 0], [1, 0], p) == pytest.approx(0.0, abs=1e-12)
+def cross_terms(a, b):
+    """Closed form of the chain cross terms, -Im<a|sigma_p|b> for p = x, y, z."""
+    return np.array([-(a.conj() @ PAULI[p] @ b).imag for p in range(3)])
 
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ValueError):
-            cross_term([1, 0], [0, 1], 0)
+
+class TestCrossTerm:
+    """The cross terms of a ket pair [a, b] are row 0 of chain_axes([a, b])."""
+
+    def test_known_values(self):
+        up, down = np.array([1, 0j]), np.array([0, 1 + 0j])
+        np.testing.assert_allclose(chain_axes(np.array([up, down]))[0], [0.0, 1.0, 0.0],
+                                   atol=1e-12)
+        np.testing.assert_allclose(chain_axes(np.array([up, up])), 0.0, atol=1e-12)
 
     def test_diagonal_vanishes(self):
         for _ in range(20):
             psi = random_ket()
-            for p in (1, 2, 3):
-                assert abs(cross_term(psi, psi, p)) < 1e-12
+            np.testing.assert_allclose(chain_axes(np.array([psi, psi])), 0.0, atol=1e-12)
 
     def test_antisymmetry(self):
         for _ in range(50):
             a, b = random_ket(), random_ket()
-            for p in (1, 2, 3):
-                assert cross_term(a, b, p) == pytest.approx(
-                    -cross_term(b, a, p), abs=1e-12
-                )
+            np.testing.assert_allclose(chain_axes(np.array([a, b]))[0],
+                                       -chain_axes(np.array([b, a]))[0], atol=1e-12)
 
     def test_vector_matches_scalar(self):
         for _ in range(20):
             a, b = random_ket(), random_ket()
-            vec = cross_vector(a, b)
-            for p in (1, 2, 3):
-                assert vec[p - 1] == pytest.approx(cross_term(a, b, p), abs=1e-13)
+            np.testing.assert_allclose(chain_axes(np.array([a, b]))[0],
+                                       cross_terms(a, b), atol=1e-13)
 
 
 def test_bloch_from_density_matches_pauli_traces():

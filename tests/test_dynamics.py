@@ -12,7 +12,6 @@ from qubitnet.core import (
     MINUS_I_PAULI_REAL,
     PAULI,
     bloch_from_ket,
-    cross_vector,
     ket_from_bloch,
 )
 from qubitnet.dynamics import (
@@ -23,11 +22,9 @@ from qubitnet.dynamics import (
     simulate_network,
     simulate_qcme,
     simulate_sphere,
-    step_ket,
-    topology_hash,
 )
-from qubitnet.metrics import lyapunov_V, quantum_average
-from qubitnet.protocols import chain_axes, geometry_axes, geometry_axis
+from qubitnet.metrics import quantum_average
+from qubitnet.protocols import chain_axes, geometry_axes
 from qubitnet.topology import Topology, chain, complete, grid
 
 RNG = np.random.default_rng(11)
@@ -60,15 +57,15 @@ class TestIntegratorConfig:
 
 class TestStepKet:
     def test_norm_preserved_over_many_steps(self):
-        psi = sphere_kets(RNG, 1)[0]
+        psi = sphere_kets(RNG, 1)
         for _ in range(1000):
-            psi = step_ket(psi, RNG.normal(size=3), 1e-2)
+            psi = dynamics._step_kets(psi, RNG.normal(size=(1, 3)), 1e-2)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_z_axis_rotation(self):
         # H = z.sigma turns the Bloch vector about z at rate 2
         psi = ket_from_bloch([1, 0, 0])
-        psi = step_ket(psi, [0, 0, 1], math.pi / 4)
+        psi = dynamics._step_kets(psi, np.array([0.0, 0.0, 1.0]), math.pi / 4)
         np.testing.assert_allclose(bloch_from_ket(psi), [0, 1, 0], atol=1e-12)
 
 
@@ -171,6 +168,11 @@ class TestHemisphereMatchesLp:
         np.testing.assert_array_equal(decided[0], antipodal)
 
 
+def _cross_terms(a, b):
+    """Closed form of the chain cross terms, -Im<a|sigma_p|b> for p = x, y, z."""
+    return np.array([-(a.conj() @ PAULI[p] @ b).imag for p in range(3)])
+
+
 def _step_kets_complex(kets, axes, dt):
     """Reference exp(-i dt n.sigma) on complex kets, by the closed-form formula."""
     omega = np.sqrt((axes * axes).sum(axis=-1))
@@ -233,7 +235,7 @@ class TestRealViewKernels:
     @settings(max_examples=100, deadline=None)
     @given(ket_batches())
     def test_chain_axes_are_cross_vector_differences(self, kets):
-        c = np.array([[cross_vector(p[i], p[i + 1]) for i in range(len(p) - 1)]
+        c = np.array([[_cross_terms(p[i], p[i + 1]) for i in range(len(p) - 1)]
                       for p in kets])
         expected = np.zeros(kets.shape[:-1] + (3,))
         expected[:, :-1] += c
@@ -247,8 +249,9 @@ class TestRealViewKernels:
         np.testing.assert_allclose(
             dynamics._bloch_batch(kets),
             [[bloch_from_ket(psi) for psi in p] for p in kets], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(dynamics._consecutive_v(kets),
-                                   [lyapunov_V(p, chain(n)) for p in kets],
+        # V = (N-1) - sum_i Re<psi_i|psi_{i+1}>, from the complex overlaps
+        overlaps = np.einsum("bij,bij->b", kets[:, :-1].conj(), kets[:, 1:]).real
+        np.testing.assert_allclose(dynamics._consecutive_v(kets), n - 1 - overlaps,
                                    rtol=0, atol=1e-14)
 
     @settings(max_examples=100, deadline=None)
@@ -258,8 +261,10 @@ class TestRealViewKernels:
         w = data.draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
         w = np.triu(w, 1) + np.triu(w, 1).T
         t = Topology(weights=w)
-        expected = [[geometry_axis(p[i], [(p[j], w[i, j]) for j in range(n)])
-                     for i in range(n)] for p in x]
+        # x_i x ((I - x_i x_i^T) s_i) with s_i = sum_j w_ij x_j
+        s = w @ x
+        tangent = s - np.einsum("bij,bij->bi", x, s)[..., None] * x
+        expected = np.cross(x, tangent)
         np.testing.assert_allclose(geometry_axes(x, t), expected,
                                    rtol=0, atol=1e-14 * (1.0 + w.sum()))
 
@@ -665,6 +670,10 @@ class TestTrajectoryCsv:
         header = paths[0].split(b"\n", 1)[0].decode()
         assert header.startswith("time,q1_x,q1_y,q1_z")
 
-    def test_topology_hash_distinguishes(self):
-        assert topology_hash(chain(3)) != topology_hash(complete(3))
-        assert topology_hash(chain(3)) == topology_hash(chain(3))
+    def test_no_samples_raises_before_writing(self, tmp_path):
+        traj = Trajectory(sample_times=np.array([0.0, 1.0]), samples=None,
+                          metrics={"V": np.array([1.0, 0.5])})
+        p = tmp_path / "none.csv"
+        with pytest.raises(ValueError, match="no per-qubit samples"):
+            traj.to_csv(p)
+        assert not p.exists()

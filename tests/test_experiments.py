@@ -13,7 +13,7 @@ def test_qcme_compare_cells_equal_one_seed_cells():
     cells = experiments.qcme_compare_cells(seeds, **kwargs)
     assert len(cells) == len(seeds)
     for seed, cell in zip(seeds, cells):
-        one = experiments.qcme_compare_cell(seed, **kwargs)
+        (one,) = experiments.qcme_compare_cells([seed], **kwargs)
         assert cell["settling"] == one["settling"]
         assert list(cell["series"]) == list(one["series"])
         for key, (ts, ds) in one["series"].items():

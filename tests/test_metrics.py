@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubitnet import dynamics
 from qubitnet.core import density_from_bloch, ket_from_angles, ket_from_bloch
-from qubitnet.dynamics import IntegratorConfig, simulate_network
+from qubitnet.decoherence import _coherence
+from qubitnet.dynamics import IntegratorConfig, Trajectory, simulate_network, simulate_qcme
+from qubitnet.experiments import symmetric_distance_series
 from qubitnet.metrics import (
     SettlingSpec,
-    coherence,
-    composite_distance,
-    lyapunov_V,
     lyapunov_decay_terms,
-    pure_state_error,
     quantum_average,
     settling_time,
 )
@@ -33,10 +32,12 @@ def random_kets(n, rng=RNG):
 
 
 class TestLyapunov:
+    """V is the "V" series of a network run, computed by dynamics._consecutive_v."""
+
     def test_aligned_chain_is_zero(self):
         psi = ket_from_bloch(random_unit())
         states = np.array([psi] * 4)
-        assert lyapunov_V(states, chain(4)) == pytest.approx(0.0, abs=1e-12)
+        assert dynamics._consecutive_v(states) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair_value(self):
         # Re<psi1|psi2> = cos(pi/4) for antipodal-on-equator half-angle kets
@@ -44,23 +45,33 @@ class TestLyapunov:
         b = ket_from_angles(math.pi / 2, 0.0)
         states = np.array([a, b])
         expect = 1.0 - math.cos(math.pi / 4)
-        assert lyapunov_V(states, chain(2)) == pytest.approx(expect, abs=1e-12)
+        assert dynamics._consecutive_v(states) == pytest.approx(expect, abs=1e-12)
 
     def test_bounds(self):
         for _ in range(50):
             states = random_kets(5)
-            v = lyapunov_V(states, chain(5))
+            v = dynamics._consecutive_v(states)
             assert 0.0 <= v <= 2.0 * 4 + 1e-12
-
-    def test_rejects_non_chain(self):
-        with pytest.raises(ValueError):
-            lyapunov_V(random_kets(3), complete(3))
 
     def test_decay_terms_nonpositive(self):
         for _ in range(30):
-            w = lyapunov_decay_terms(random_kets(5), chain(5))
+            w = lyapunov_decay_terms(random_kets(5))
             assert w.shape == (5,)
             assert np.all(w <= 1e-12)
+
+    def test_decay_terms_batch_equals_member_calls(self):
+        kets = np.array([random_kets(5) for _ in range(4)])
+        w = lyapunov_decay_terms(kets)
+        assert w.shape == (4, 5)
+        assert np.all(w <= 0.0)
+        for member, row in zip(kets, w):
+            np.testing.assert_array_equal(lyapunov_decay_terms(member), row)
+
+    def test_w_max_series_is_max_decay_term(self):
+        cfg = IntegratorConfig(dt=1e-2, t_max=2.0, sample_every=5)
+        traj = simulate_network(random_kets(5), chain(5), "chain", cfg)
+        np.testing.assert_array_equal(traj.metrics["W_max"],
+                                      lyapunov_decay_terms(traj.samples).max(-1))
 
     def test_decay_terms_match_finite_difference(self):
         # sum of W_i equals dV/dt along the closed-loop chain protocol
@@ -72,8 +83,15 @@ class TestLyapunov:
         traj = simulate_network(kets, t, "chain", cfg)
         v = traj.metrics["V"]
         dv_dt = (v[2] - v[0]) / (2 * dt)
-        w_sum = lyapunov_decay_terms(traj.samples[1], t).sum()
+        w = lyapunov_decay_terms(traj.samples[1])
+        assert np.all(w <= 0.0)
+        w_sum = w.sum()
         assert dv_dt == pytest.approx(w_sum, rel=1e-4, abs=1e-8)
+
+
+def pure_state_error(kets):
+    """The "pure_state_error" series value of a network run at kets."""
+    return dynamics._pairwise_error(dynamics._bloch_batch(kets))
 
 
 class TestPureStateError:
@@ -92,11 +110,13 @@ class TestPureStateError:
         for _ in range(30):
             us = [random_unit() for _ in range(4)]
             states = np.array([ket_from_bloch(u) for u in us])
-            expect = max(
-                np.linalg.norm(a - b) / math.sqrt(2.0)
-                for a, b in itertools.combinations(us, 2)
-            )
-            assert pure_state_error(states) == pytest.approx(expect, abs=1e-12)
+            rhos = [np.outer(psi, psi.conj()) for psi in states]
+            frobenius = max(np.linalg.norm(a - b, "fro")
+                            for a, b in itertools.combinations(rhos, 2))
+            bloch = max(np.linalg.norm(a - b) / math.sqrt(2.0)
+                        for a, b in itertools.combinations(us, 2))
+            assert pure_state_error(states) == pytest.approx(frobenius, abs=1e-12)
+            assert pure_state_error(states) == pytest.approx(bloch, abs=1e-12)
 
 
 class TestSettlingTime:
@@ -216,25 +236,35 @@ class TestQuantumAverageBatch:
 
 
 class TestCompositeDistance:
+    """The spectral-norm distance to the quantum average, as recorded by
+    simulate_qcme and computed by symmetric_distance_series."""
+
+    @staticmethod
+    def _distances(points):
+        rho0 = np.array([np.kron(density_from_bloch(a), density_from_bloch(b))
+                         for a, b in points])
+        runs = simulate_qcme(rho0, chain(2), IntegratorConfig(dt=1e-2, t_max=0.1))
+        traj = Trajectory(sample_times=np.arange(len(points), dtype=float),
+                          samples=np.array(points, dtype=float))
+        qcme = [r.metrics["composite_distance"][0] for r in runs]
+        return qcme, symmetric_distance_series(traj)
+
     def test_zero_for_equal(self):
-        rho = density_from_bloch(random_unit())
-        assert composite_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
+        u = random_unit()
+        qcme, product = self._distances([[u, u], [[0, 0, 1], [0, 0, 1]]])
+        np.testing.assert_allclose(qcme, 0.0, atol=1e-12)
+        np.testing.assert_allclose(product, 0.0, atol=1e-12)
 
     def test_spectral_norm_of_difference(self):
-        a = density_from_bloch([0, 0, 1])
-        b = density_from_bloch([0, 0, -1])
-        # difference is diag(1, -1), spectral norm 1
-        assert composite_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+        # |01><01| averages to (|01><01| + |10><10|) / 2: the difference is
+        # diag(0, 1/2, -1/2, 0), spectral norm 1/2
+        qcme, product = self._distances([[[0, 0, 1], [0, 0, -1]]])
+        assert qcme[0] == pytest.approx(0.5, abs=1e-12)
+        assert product[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCoherence:
     def test_planar_radius(self):
-        assert coherence(density_from_bloch([0.6, 0.8, 0.0])) == pytest.approx(
-            1.0, abs=1e-12
-        )
-        assert coherence(density_from_bloch([0.3, 0.4, 0.5])) == pytest.approx(
-            0.5, abs=1e-12
-        )
-        assert coherence(density_from_bloch([0, 0, 1])) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        for p, expect in (([0.6, 0.8, 0.0], 1.0), ([0.3, 0.4, 0.5], 0.5),
+                          ([0, 0, 1], 0.0)):
+            assert _coherence(density_from_bloch(p)) == pytest.approx(expect, abs=1e-12)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qubitnet.core import (
+    PAULI,
     bloch_from_ket,
-    cross_vector,
     ket_from_angles,
     ket_from_bloch,
     su2_from_axis_angle,
@@ -15,13 +15,9 @@ from qubitnet.protocols import (
     AntiparallelStatesError,
     ParallelStatesError,
     chain_axes,
-    chain_hamiltonian,
     geometry_axes,
-    geometry_axis,
-    hamiltonian_to_body_frame,
     min_time,
     min_time_pair_hamiltonians,
-    min_time_plan,
     _swap_permutation,
     qcme_generator,
     qubit_permutation,
@@ -77,7 +73,7 @@ class TestMinTime:
     def test_plan_meets_in_the_middle(self):
         for _ in range(50):
             ua, ub = random_unit(), random_unit()
-            plan = min_time_plan(ua, ub)
+            meet_time = min_time(ua, ub)
             h_a, h_b = min_time_pair_hamiltonians(ua, ub)
             np.testing.assert_allclose(h_a, -h_b, atol=1e-12)
             # evolve each ket under exp(-i T n.sigma); the Bloch vector
@@ -87,8 +83,8 @@ class TestMinTime:
                 rot = su2_from_axis_angle(ham / norm, 2 * norm * t)
                 return bloch_from_ket(rot @ ket_from_bloch(u))
 
-            pa = evolve(ua, h_a, plan.meet_time)
-            pb = evolve(ub, h_b, plan.meet_time)
+            pa = evolve(ua, h_a, meet_time)
+            pb = evolve(ub, h_b, meet_time)
             np.testing.assert_allclose(pa, pb, atol=1e-9)
 
 
@@ -98,7 +94,7 @@ class TestChainAxes:
             a = ket_from_bloch(random_unit())
             b = ket_from_bloch(random_unit())
             axes = chain_axes(np.array([a, b]))
-            c = cross_vector(a, b)
+            c = np.array([-(a.conj() @ PAULI[p] @ b).imag for p in range(3)])  # -Im<a|sigma|b>
             np.testing.assert_allclose(axes[0], c, atol=1e-13)
             np.testing.assert_allclose(axes[1], -c, atol=1e-13)
 
@@ -113,20 +109,6 @@ class TestChainAxes:
         states = np.array([psi] * 5)
         np.testing.assert_allclose(chain_axes(states), 0.0, atol=1e-12)
 
-    def test_chain_hamiltonian_matches_axes(self):
-        states = np.array([ket_from_bloch(random_unit()) for _ in range(4)])
-        t = chain(4)
-        axes = chain_axes(states)
-        for i in range(4):
-            np.testing.assert_allclose(
-                chain_hamiltonian(states, i, t), axes[i], atol=1e-13
-            )
-
-    def test_chain_hamiltonian_rejects_non_chain(self):
-        states = np.array([ket_from_bloch(random_unit()) for _ in range(3)])
-        with pytest.raises(ValueError):
-            chain_hamiltonian(states, 0, complete(3))
-
 
 class TestClosedFormAxis:
     def test_matches_cross_vector(self):
@@ -134,8 +116,8 @@ class TestClosedFormAxis:
             ti, tj = RNG.uniform(0, math.pi, size=2)
             fi, fj = RNG.uniform(0, 2 * math.pi, size=2)
             got = two_qubit_closed_form_axis(ti, fi, tj, fj)
-            expect = cross_vector(ket_from_angles(ti, fi), ket_from_angles(tj, fj))
-            np.testing.assert_allclose(got, expect, atol=1e-12)
+            kets = np.array([ket_from_angles(ti, fi), ket_from_angles(tj, fj)])
+            np.testing.assert_allclose(got, chain_axes(kets)[0], atol=1e-12)
 
     def test_known_value(self):
         # theta_i = pi/2, theta_j = 0, equal phases zero:
@@ -160,26 +142,15 @@ class TestGeometryAxes:
         x = np.array([random_unit() for _ in range(4)])
         axes = geometry_axes(x, t)
         for i in range(4):
-            nbr = [(x[j], t.weights[i, j]) for j in range(4) if t.weights[i, j] > 0]
-            np.testing.assert_allclose(axes[i], geometry_axis(x[i], nbr), atol=1e-12)
+            # x_i x ((I - x_i x_i^T) s) with s = sum_j w_ij x_j
+            s = t.weights[i] @ x
+            np.testing.assert_allclose(axes[i], np.cross(x[i], s - (x[i] @ s) * x[i]),
+                                       atol=1e-12)
 
     def test_consensus_point_is_stationary(self):
         u = random_unit()
         x = np.array([u] * 5)
         np.testing.assert_allclose(geometry_axes(x, complete(5)), 0.0, atol=1e-12)
-
-
-class TestBodyFrame:
-    def test_round_trips_with_rotation(self):
-        for _ in range(20):
-            r_axis, ang = random_unit(), RNG.uniform(0, 6)
-            u = su2_from_axis_angle(r_axis, ang)
-            h_world = random_unit() * RNG.uniform(0.1, 2.0)
-            h_body = hamiltonian_to_body_frame(h_world, u)
-            # rotating the body axis forward recovers the world axis
-            from qubitnet.core import so3_from_su2
-
-            np.testing.assert_allclose(so3_from_su2(u) @ h_body, h_world, atol=1e-9)
 
 
 class TestQcmeGenerator:
