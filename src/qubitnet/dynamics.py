@@ -207,6 +207,7 @@ def _hemisphere_lp(u: np.ndarray) -> bool:
 
 
 PROTOCOLS = ("chain", "geometry", "min-time")
+_QCME_BLOCK = 64  # QCME samples per product, so memory does not grow with t_max / dt
 
 
 def _batch(states, width: int) -> tuple[np.ndarray, bool]:
@@ -219,8 +220,7 @@ def _batch(states, width: int) -> tuple[np.ndarray, bool]:
     return states.reshape(-1, width), False
 
 
-def _integrate(x, step, record, names, cfg: IntegratorConfig,
-               keep_samples: bool = True):
+def _integrate(x, step, record, names, cfg: IntegratorConfig):
     """Shared stepping driver over one (N, .) run or a batch (B, ...) with
     its members on the leading axis.
 
@@ -233,8 +233,7 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig,
     sample. As in a one-member run, the stop test starts at the first
     sample after a step. A single run is stepped as the plain (N, .)
     array, without a batch axis, and gives one Trajectory; a batch gives
-    one per member. With keep_samples False the states are not kept and
-    every Trajectory has samples None.
+    one per member.
     """
     stop = None
     if cfg.stop_threshold is not None:
@@ -253,8 +252,7 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig,
         if k % cfg.sample_every and k != n_steps:
             continue
         steps.append(k)
-        if keep_samples:
-            snaps.append(x)
+        snaps.append(x)
         values.append(np.stack(record(x)))
         if stop is None:
             continue
@@ -267,8 +265,7 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig,
             members, x = ids[~done], x[~done]
     times = np.array(steps) * cfg.dt
     if single:
-        return Trajectory(sample_times=times,
-                          samples=np.array(snaps) if keep_samples else None,
+        return Trajectory(sample_times=times, samples=np.array(snaps),
                           metrics=dict(zip(names, np.stack(values, axis=1))))
     ends[ends < 0] = len(steps) - 1
 
@@ -279,11 +276,9 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig,
     rank = np.cumsum(live.T).reshape(len(steps), size).T - 1
     take = rank[live]
     cuts = np.cumsum(ends + 1)[:-1]
-    samples = [None] * size
-    if keep_samples:
-        flat = np.concatenate(snaps)
-        snaps.clear()  # keep one copy of the samples, not two, while regrouping
-        samples = np.split(flat[take], cuts)
+    flat = np.concatenate(snaps)
+    snaps.clear()  # keep one copy of the samples, not two, while regrouping
+    samples = np.split(flat[take], cuts)
     series = np.split(np.concatenate(values, axis=1)[:, take], cuts, axis=1)
     return [
         Trajectory(
@@ -402,60 +397,69 @@ def simulate_sphere(
     return _integrate(x, step, record, ("max_angle", "pure_state_error"), cfg)
 
 
+def _qcme_flow(rho: np.ndarray, t: Topology):
+    """Map from (K,) times to the (B, K, 2^N, 2^N) states of the exact QCME flow.
+
+    On vec(rho) the generator L = sum w_jk (P_jk - I), P_jk symmetric
+    permutations, is real and symmetric: rho(t) = V e^{t Lambda} V^T vec rho
+    from one eigh. The flow mixes unitary conjugations, so it keeps positivity.
+    """
+    dim = rho.shape[-1]
+    # row i is L of basis matrix i, so the rows stack to L^T = L
+    gen = qcme_generator(t)(np.eye(dim * dim).reshape(-1, dim, dim)).real
+    lam, v = np.linalg.eigh(gen.reshape(dim * dim, -1))
+    lam = np.minimum(lam, 0.0)  # L <= 0; positive eigenvalues are rounding
+    # V is real: each member's real and imaginary parts flow as their own product
+    coef = np.stack([rho.real, rho.imag], axis=1).reshape(len(rho), 2, 1, -1) @ v
+
+    def states(times: np.ndarray) -> np.ndarray:
+        re, im = np.moveaxis((np.exp(times[:, None] * lam) * coef) @ v.T, 1, 0)
+        return (re + 1j * im).reshape(len(rho), len(times), dim, dim)
+
+    return states
+
+
 def simulate_qcme(
     rho0, t: Topology, cfg: IntegratorConfig
 ) -> Trajectory | list[Trajectory]:
     """Full-network QCME run recording the 2-norm distance to the quantum average.
 
-    Classic RK4 on the swap-operator generator; positivity is monitored
-    at every sample and a violation beyond 1e-6 aborts the run. rho0 of
-    shape (2^N, 2^N) gives one Trajectory; a (B, 2^N, 2^N) batch gives
-    one per member, each equal to its one-member run and cut at its own
-    stop sample. A run stops on its "composite_distance" series, the
-    distance of each member to its own quantum average.
+    Samples the exact flow (_qcme_flow) on _integrate's grid and stops a
+    member as _integrate would, on its "composite_distance" series. rho0 of
+    shape (2^N, 2^N), N <= 4, gives one Trajectory; a (B, 2^N, 2^N) batch
+    gives one per member, each equal to its one-member run.
     """
+    if t.n > 4:
+        raise ValueError(f"the exact QCME flow is limited to 4 qubits, got {t.n}")
+    if cfg.stop_threshold is not None and cfg.stop_metric != "composite_distance":
+        raise ValueError(f"unknown stop_metric {cfg.stop_metric!r}; "
+                         "this run records ['composite_distance']")
     rho = np.array(rho0, dtype=complex)
     dim = 2**t.n
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix or a (B, {dim}, {dim}) "
                          f"batch for {t.n} qubits")
-    if t.n > 6:
-        raise ValueError("QCME distance tracking requires at most 6 qubits")
     if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-9:
         raise ValueError("rho0 must have unit trace")
-    if _min_eigenvalue(rho).min() < -1e-9:
+    if np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))).min() < -1e-9:
         raise ValueError("rho0 must be positive semidefinite")
 
-    gen = qcme_generator(t)
-    rho_bar = quantum_average(rho)
-    batched = rho.ndim == 3
-    dt = cfg.dt
-    active = slice(None)  # batch members of the rows being stepped
-
-    def step(x, members):
-        nonlocal active
-        active = members
-        k1 = gen(x)
-        k2 = gen(x + 0.5 * dt * k1)
-        k3 = gen(x + 0.5 * dt * k2)
-        k4 = gen(x + dt * k3)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def record(x):
-        bad = np.flatnonzero(_min_eigenvalue(x) < -1e-6)
-        if bad.size:
-            where = (f" in batch member {np.arange(len(rho))[active][bad[0]]}"
-                     if batched else "")
-            raise RuntimeError(f"QCME state lost positivity{where}; reduce the step size")
-        return (np.linalg.norm(x - rho_bar[active], 2, axis=(-2, -1)),)
-
-    return _integrate(rho, step, record, ("composite_distance",), cfg,
-                      keep_samples=False)
-
-
-def _min_eigenvalue(rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each matrix of a stack."""
-    return np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))).min(axis=-1)
+    batch = rho.reshape(-1, dim, dim)
+    states, rho_bar = _qcme_flow(batch, t), quantum_average(batch)[:, None]
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    times = np.append(np.arange(0, n_steps, cfg.sample_every), n_steps) * cfg.dt
+    stop = -math.inf if cfg.stop_threshold is None else cfg.stop_threshold
+    d = np.empty((len(batch), len(times)))
+    for start in range(0, len(times), _QCME_BLOCK):
+        block = slice(start, start + _QCME_BLOCK)
+        d[:, block] = np.linalg.norm(states(times[block]) - rho_bar, 2, axis=(-2, -1))
+        below = d[:, 1:block.stop] < stop  # the stop test starts after step 0
+        if below.any(axis=1).all():
+            break
+    ends = np.where(below.any(axis=1), below.argmax(axis=1) + 1, len(times) - 1)
+    runs = [Trajectory(times[:e + 1], None, {"composite_distance": d[b, :e + 1]})
+            for b, e in enumerate(ends)]
+    return runs if rho.ndim == 3 else runs[0]
 
 
 def meeting_time(traj: Trajectory, angle_tol: float) -> float | None:

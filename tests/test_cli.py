@@ -13,6 +13,15 @@ from qubitnet import experiments
 from qubitnet.cli import main
 
 
+def finite_json(text: str):
+    """Parse JSON that must not hold NaN or Infinity."""
+
+    def no_constants(name):
+        raise AssertionError(f"{name} written to JSON")
+
+    return json.loads(text, parse_constant=no_constants)
+
+
 class TestHeatmapRunner:
     def test_writes_grid_and_manifest(self, tmp_path):
         out = tmp_path / "heat"
@@ -167,16 +176,23 @@ class TestCliInterface:
         out = tmp_path / "q"
         assert main(["qcme-compare", "--out", str(out), "--n-seeds", "1",
                      "--t-max", "0.1"]) == 0
-
-        def no_constants(name):
-            raise AssertionError(f"{name} written to JSON")
-
         for text in (capsys.readouterr().out, (out / "summary.json").read_text()):
-            doc = json.loads(text, parse_constant=no_constants)
+            doc = finite_json(text)
             assert set(doc["medians"]) == set(doc["settling"])
             for k, times in doc["settling"].items():
                 assert times == [None]
                 assert doc["medians"][k] is None
+
+    def test_qcme_compare_coarse_step_writes_finite_json(self, tmp_path, capsys):
+        # the QCME baseline samples its exact flow, so a coarse dt only
+        # thins the samples and cannot make the run unstable
+        out = tmp_path / "q"
+        assert main(["qcme-compare", "--out", str(out), "--n-seeds", "1",
+                     "--dt", "1", "--t-max", "10"]) == 0
+        for text in (capsys.readouterr().out, (out / "summary.json").read_text()):
+            doc = finite_json(text)
+            assert set(doc["settling"]) == {"chain_eq", "chain_geo", "chain_qcme",
+                                            "full_geo", "full_qcme"}
 
     def test_qcme_compare_median_counts_unsettled_as_late(self, tmp_path, monkeypatch):
         times = {"chain_eq": [1.0, 2.0, math.inf], "chain_geo": [1.0, math.inf, math.inf],

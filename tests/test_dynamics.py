@@ -544,17 +544,7 @@ class TestSimulateQcme:
         rho /= np.trace(rho).real
         cfg = IntegratorConfig(dt=1e-3, t_max=1.0, sample_every=1000)
         avg0 = quantum_average(rho)
-
-        from qubitnet.protocols import qcme_generator
-
-        gen = qcme_generator(chain(2))
-        r = rho.copy()
-        for _ in range(1000):
-            k1 = gen(r)
-            k2 = gen(r + 5e-4 * k1)
-            k3 = gen(r + 5e-4 * k2)
-            k4 = gen(r + 1e-3 * k3)
-            r = r + (1e-3 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        r = self._rk4_states(rho, chain(2), cfg.dt, 1000, cfg.sample_every)[-1]
         np.testing.assert_allclose(quantum_average(r), avg0, atol=1e-9)
 
     def test_rejects_bad_trace(self):
@@ -606,12 +596,85 @@ class TestSimulateQcme:
         with pytest.raises(ValueError, match="composite_distance"):
             simulate_qcme(self._members()[1], chain(3), cfg)
 
-    def test_positivity_guard_names_the_member(self):
-        # RK4 at dt = 1 leaves its stability region on the complete-graph
-        # generator; the symmetric member is a fixed point and stays valid
-        rho = self._members()[[0, 2]]
-        with pytest.raises(RuntimeError, match="batch member 1;"):
-            simulate_qcme(rho, complete(3), IntegratorConfig(dt=1.0, t_max=10.0))
+    @staticmethod
+    def _rk4_states(rho, topology, dt, n_steps, sample_every):
+        from qubitnet.protocols import qcme_generator
+
+        gen = qcme_generator(topology)
+        out = [rho]
+        for k in range(1, n_steps + 1):
+            k1 = gen(rho)
+            k2 = gen(rho + 0.5 * dt * k1)
+            k3 = gen(rho + 0.5 * dt * k2)
+            k4 = gen(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if k % sample_every == 0 or k == n_steps:
+                out.append(rho)
+        return np.array(out)
+
+    def test_matches_rk4(self):
+        # the exact flow against classic RK4 on the generator at dt 1e-3,
+        # whose global error is far below the tolerance
+        rho = self._members()[2]
+        cfg = IntegratorConfig(dt=1e-3, t_max=2.0, sample_every=50)
+        ref = self._rk4_states(rho, complete(3), cfg.dt, 2000, 50)
+        traj = simulate_qcme(rho, complete(3), cfg)
+        np.testing.assert_array_equal(traj.sample_times, np.arange(0, 2001, 50) * cfg.dt)
+        states = dynamics._qcme_flow(rho[None], complete(3))(traj.sample_times)[0]
+        np.testing.assert_allclose(states, ref, rtol=0, atol=1e-10)
+        d_ref = np.linalg.norm(ref - quantum_average(rho), 2, axis=(-2, -1))
+        np.testing.assert_allclose(traj.metrics["composite_distance"], d_ref,
+                                   rtol=0, atol=1e-10)
+
+    def test_last_sample_is_the_last_step(self):
+        # t_max = 0.37 is not a multiple of sample_every * dt = 0.1
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.37, sample_every=10)
+        traj = simulate_qcme(self._members()[2], chain(3), cfg)
+        np.testing.assert_array_equal(traj.sample_times,
+                                      np.array([0, 10, 20, 30, 37]) * 1e-2)
+        assert traj.metrics["composite_distance"].shape == (5,)
+
+    def test_blocks_do_not_change_the_run(self, monkeypatch):
+        rho = self._members()
+        cfg = IntegratorConfig(dt=1e-2, t_max=3.0, sample_every=10,
+                               stop_threshold=1e-2, stop_metric="composite_distance")
+        whole = simulate_qcme(rho, chain(3), cfg)
+        monkeypatch.setattr(dynamics, "_QCME_BLOCK", 4)
+        for run, blocked in zip(whole, simulate_qcme(rho, chain(3), cfg)):
+            np.testing.assert_array_equal(run.sample_times, blocked.sample_times)
+            # a block size changes the matrix products' shapes, so rounding only
+            np.testing.assert_allclose(run.metrics["composite_distance"],
+                                       blocked.metrics["composite_distance"],
+                                       rtol=0, atol=1e-15)
+
+    def test_rejects_five_qubits(self):
+        with pytest.raises(ValueError, match="4 qubits"):
+            simulate_qcme(np.eye(32) / 32, chain(5), IntegratorConfig(t_max=0.1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([chain(2), chain(3), complete(3)]),
+           st.floats(1e-3, 1.0), st.data())
+    def test_sampled_states_are_valid(self, topology, dt, data):
+        # every sample of the flow is a density matrix with the initial
+        # quantum average, and the distance to it never grows
+        dim = 2**topology.n
+        rank = data.draw(st.integers(1, dim))
+        size = data.draw(st.integers(1, 3))
+        a = data.draw(arrays(float, (size, 2, dim, rank), elements=st.floats(-1, 1)))
+        a = a[:, 0] + 1j * a[:, 1]
+        rho = a @ np.swapaxes(a.conj(), -1, -2)
+        tr = np.trace(rho, axis1=-2, axis2=-1).real
+        assume(np.all(tr > 1e-3))
+        rho /= tr[:, None, None]
+        avg = quantum_average(rho)[:, None]
+        states = dynamics._qcme_flow(rho, topology)(np.arange(30) * dt)
+        np.testing.assert_allclose(np.trace(states, axis1=-2, axis2=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(states, np.swapaxes(states.conj(), -1, -2), atol=1e-12)
+        assert np.linalg.eigvalsh(states).min() >= -1e-12
+        np.testing.assert_allclose(quantum_average(states), np.broadcast_to(avg, states.shape),
+                                   atol=1e-12)
+        d = np.linalg.norm(states - avg, 2, axis=(-2, -1))
+        assert np.all(np.diff(d, axis=-1) <= 1e-12)
 
     def test_rejects_a_bad_batch_member(self):
         rho = self._members()
