@@ -292,7 +292,7 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
 
 def simulate_network(
     kets0,
-    t: Topology,
+    t: Topology | list[Topology],
     protocol: str,
     cfg: IntegratorConfig,
     gain: float = 1.0,
@@ -300,9 +300,10 @@ def simulate_network(
     """Synchronous closed-loop run of a protocol over a qubit network.
 
     kets0 of shape (N, 2) gives one Trajectory. A (B, N, 2) batch runs
-    B independent networks on the same topology in one pass and gives
-    one Trajectory per member, each matching its one-member run and cut
-    at its own stop sample.
+    B independent networks in one pass and gives one Trajectory per
+    member, each matching its one-member run and cut at its own stop
+    sample. The members share the topology t, or t is a list of B
+    topologies on N nodes, one per member.
 
     The geometry branch applies H = (gain/2) n . sigma so that with
     gain 1 the Bloch flow equals the projected-sum sphere flow exactly
@@ -311,8 +312,18 @@ def simulate_network(
     """
     kets, batched = _batch(np.array(kets0, dtype=complex), 2)
     n = kets.shape[-2]
-    if n != t.n:
-        raise ValueError(f"{n} kets for a {t.n}-node topology")
+    listed = not isinstance(t, Topology)
+    topologies = list(t) if listed else [t]
+    if listed and (not batched or len(topologies) != len(kets)):
+        raise ValueError(f"{len(topologies)} topologies need a ({len(topologies)}, N, 2) "
+                         f"batch of kets, got {kets.shape}")
+
+    def check(ok, message):
+        bad = [b for b, tb in enumerate(topologies) if not ok(tb)]
+        if bad:
+            raise ValueError(message + (f" (batch members {bad})" if listed else ""))
+
+    check(lambda tb: tb.n == n, f"{n} kets need a {n}-node topology")
     if np.max(np.abs(np.linalg.norm(kets, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial kets must be normalized")
     if protocol not in PROTOCOLS:
@@ -320,15 +331,13 @@ def simulate_network(
 
     dt = cfg.dt
     if protocol == "chain":
-        if not is_chain(t):
-            raise ValueError("chain protocol requires a chain topology")
+        check(is_chain, "chain protocol requires a chain topology")
 
         def step(x, members):
             return _step_kets(x, gain * chain_axes(x), dt)
 
     elif protocol == "geometry":
-        if not is_connected(t):
-            raise ValueError("geometry protocol requires a connected topology")
+        check(is_connected, "geometry protocol requires a connected topology")
         inside = in_open_hemisphere(_bloch_batch(kets.reshape(-1, n, 2)))
         outside = np.flatnonzero(~inside).tolist()
         if outside:
@@ -338,10 +347,11 @@ def simulate_network(
                 "hemisphere; convergence of the geometric protocol is not guaranteed",
                 stacklevel=2,
             )
+        weights = np.array([tb.weights for tb in topologies])  # gathered like fixed_axes
 
         def step(x, members):
-            axes = (0.5 * gain) * geometry_axes(_bloch_batch(x), t)
-            return _step_kets(x, axes, dt)
+            w = weights[members] if listed else t
+            return _step_kets(x, (0.5 * gain) * geometry_axes(_bloch_batch(x), w), dt)
 
     else:  # min-time
         if n != 2:

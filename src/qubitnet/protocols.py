@@ -110,16 +110,17 @@ def two_qubit_closed_form_axis(
     )
 
 
-def geometry_axes(x: np.ndarray, t: Topology) -> np.ndarray:
+def geometry_axes(x: np.ndarray, t: Topology | np.ndarray) -> np.ndarray:
     """Geometric-protocol axes x_i x sum_j w_ij x_j for all qubits, shape (..., N, 3).
 
-    Leading axes index independent networks on the same topology. The
+    Leading axes index independent networks on the topology t, or on
+    their own weights when t is an (..., N, N) stack matching them. The
     axis is perpendicular to x_i, and projecting the neighbour sum onto
     the tangent plane at x_i would change nothing, since x_i x x_i = 0.
     A zero axis is a legitimate output at equilibria.
     """
     x = np.asarray(x, dtype=float)
-    return row_cross(x, t.weights @ x)
+    return row_cross(x, (t.weights if isinstance(t, Topology) else t) @ x)
 
 
 def qubit_permutation(n: int, perm) -> np.ndarray:

@@ -136,12 +136,3 @@ def is_chain(t: Topology) -> bool:
     expected[idx + 1, idx] = True
     return bool(np.array_equal(mask, expected))
 
-
-def laplacian(t: Topology) -> np.ndarray:
-    return np.diag(t.weights.sum(axis=1)) - t.weights
-
-
-def algebraic_connectivity(t: Topology) -> float:
-    """Second-smallest Laplacian eigenvalue; a consensus-speed measure."""
-    eigs = np.linalg.eigvalsh(laplacian(t))
-    return float(np.sort(eigs)[1])

@@ -105,13 +105,17 @@ def test_quantum_sphere_twin():
     t = grid(3)
     cfg = IntegratorConfig(dt=1e-3, t_max=3.0, sample_every=10)
     worst = 0.0
+    pts = []
     for seed in range(20):
         rng = np.random.default_rng([103, seed])
-        pts = np.array([_random_unit(rng) for _ in range(9)])
-        pts[:, 2] = np.abs(pts[:, 2])
-        kets = np.array([ket_from_bloch(u) for u in pts])
-        tq = simulate_network(kets, t, "geometry", cfg)
-        tc = simulate_sphere(pts, t, cfg)
+        pts.append([_random_unit(rng) for _ in range(9)])
+    pts = np.array(pts)
+    pts[..., 2] = np.abs(pts[..., 2])
+    kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+    # all seeds as one (20, 9, 2) and one (20, 9, 3) batch
+    quantum = simulate_network(kets, t, "geometry", cfg)
+    sphere = simulate_sphere(pts, t, cfg)
+    for tq, tc in zip(quantum, sphere):
         worst = max(worst, float(np.max(np.abs(tq.bloch() - tc.samples))))
     print(f"PASS twin check: max pointwise gap {worst:.3e} < 1e-6")
     assert worst < 1e-6
@@ -121,15 +125,17 @@ def test_hemisphere_convergence_and_counterexample():
     """Hemisphere initial data stays in a hemisphere and reaches consensus;
     a symmetric non-hemisphere configuration is an equilibrium."""
     t = grid(3)
+    kets = []
     for seed in range(20):
         rng = np.random.default_rng([104, seed])
         pts = np.array([_random_unit(rng) for _ in range(9)])
         pts[:, 2] = np.abs(pts[:, 2])
-        kets = np.array([ket_from_bloch(u) for u in pts])
-        cfg = IntegratorConfig(dt=1e-3, t_max=50.0, sample_every=10,
-                               stop_threshold=1e-2,
-                               stop_metric="pure_state_error")
-        traj = simulate_network(kets, t, "geometry", cfg, gain=2.0)
+        kets.append([ket_from_bloch(u) for u in pts])
+    cfg = IntegratorConfig(dt=1e-3, t_max=50.0, sample_every=10,
+                           stop_threshold=1e-2,
+                           stop_metric="pure_state_error")
+    # all seeds as one (20, 9, 2) batch; each member stops at its own sample
+    for traj in simulate_network(np.array(kets), t, "geometry", cfg, gain=2.0):
         assert traj.metrics["pure_state_error"][-1] < 1e-2
         for u in traj.bloch():
             assert in_open_hemisphere(u)
@@ -155,14 +161,13 @@ def test_scaling_sub_exponential_and_grid_faster():
     """Chain settling grows sub-exponentially; grids settle faster than
     chains with the same number of qubits."""
     med = {}
+    # the 5 seeds of a size run as one batch, with the per-cell streams
     for n in (5, 10, 20, 40, 9, 16, 25):
-        vals = [experiments.scaling_cell("chain", n, s, master_seed=0)
-                for s in range(5)]
+        vals = experiments.scaling_cells("chain", n, range(5), master_seed=0)
         assert all(v is not None for v in vals)
         med[("chain", n)] = float(np.median(vals))
     for side in (3, 4, 5):
-        vals = [experiments.scaling_cell("grid", side, s, master_seed=0)
-                for s in range(5)]
+        vals = experiments.scaling_cells("grid", side, range(5), master_seed=0)
         assert all(v is not None for v in vals)
         med[("grid", side * side)] = float(np.median(vals))
 

@@ -25,7 +25,7 @@ from qubitnet.dynamics import (
 )
 from qubitnet.metrics import quantum_average
 from qubitnet.protocols import chain_axes, geometry_axes
-from qubitnet.topology import Topology, chain, complete, grid
+from qubitnet.topology import Topology, chain, complete, from_edge_list, grid
 
 RNG = np.random.default_rng(11)
 
@@ -465,9 +465,12 @@ class TestBatch:
         kets = np.array([[ket_from_bloch(u) for u in p] for p in x])
         axes = rng.normal(size=(size, n, 3))
         t = chain(n)
+        w = rng.uniform(size=(size, n, n))
+        w = (w + np.swapaxes(w, -1, -2)) * (1.0 - np.eye(n))
         batched = {
             "chain_axes": chain_axes(kets),
             "geometry_axes": geometry_axes(x, t),
+            "geometry_axes_stack": geometry_axes(x, w),
             "step": dynamics._step_kets(kets, axes, 0.1),
             "rotate": dynamics._rotate_vectors(x, axes, 0.1),
             "V": dynamics._consecutive_v(kets),
@@ -478,6 +481,7 @@ class TestBatch:
             single = {
                 "chain_axes": chain_axes(kets[b]),
                 "geometry_axes": geometry_axes(x[b], t),
+                "geometry_axes_stack": geometry_axes(x[b], Topology(w[b])),
                 "step": dynamics._step_kets(kets[b], axes[b], 0.1),
                 "rotate": dynamics._rotate_vectors(x[b], axes[b], 0.1),
                 "V": dynamics._consecutive_v(kets[b]),
@@ -487,6 +491,74 @@ class TestBatch:
             for name, value in single.items():
                 np.testing.assert_allclose(batched[name][b], value,
                                            rtol=0, atol=1e-12, err_msg=name)
+
+
+def _assert_identical_run(batched, single):
+    np.testing.assert_array_equal(batched.sample_times, single.sample_times)
+    np.testing.assert_array_equal(batched.samples, single.samples)
+    assert batched.metrics.keys() == single.metrics.keys()
+    for name in single.metrics:
+        np.testing.assert_array_equal(batched.metrics[name], single.metrics[name])
+
+
+class TestTopologyList:
+    """A list of B topologies gives each (B, N, .) batch member its own."""
+
+    WEIGHTED = from_edge_list("1 2 0.5\n2 3 2.0\n1 3 0.25\n")
+
+    def _cap_kets(self, rng, size, n=3):
+        pts = np.array([0.0, 0.0, 1.0]) + 0.6 * rng.normal(size=(size, n, 3))
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        return np.array([[ket_from_bloch(u) for u in p] for p in pts])
+
+    def test_geometry_members_stop_on_their_own_topology(self):
+        topologies = [chain(3), complete(3), self.WEIGHTED]
+        kets = self._cap_kets(np.random.default_rng(71), 1)[0]
+        kets = np.array([kets] * 3)
+        cfg = IntegratorConfig(dt=1e-2, t_max=20.0, sample_every=5,
+                               stop_threshold=1e-3, stop_metric="pure_state_error")
+        trajs = simulate_network(kets, topologies, "geometry", cfg, gain=2.0)
+        lengths = [traj.sample_times.size for traj in trajs]
+        # every member stops on its own sample, so the weight stack is gathered
+        assert len(set(lengths)) == 3 and max(lengths) < 401
+        for member, t, traj in zip(kets, topologies, trajs):
+            _assert_identical_run(traj, simulate_network(member, t, "geometry",
+                                                         cfg, gain=2.0))
+
+    def test_one_element_list(self):
+        kets = self._cap_kets(np.random.default_rng(72), 1)
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=5)
+        (traj,) = simulate_network(kets, [self.WEIGHTED], "geometry", cfg)
+        _assert_identical_run(traj, simulate_network(kets[0], self.WEIGHTED,
+                                                     "geometry", cfg))
+
+    def test_chain_protocol_list(self):
+        kets = self._cap_kets(np.random.default_rng(73), 3, n=4)
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=5,
+                               stop_threshold=0.05)
+        listed = simulate_network(kets, [chain(4)] * 3, "chain", cfg)
+        for traj, shared in zip(listed, simulate_network(kets, chain(4), "chain", cfg)):
+            _assert_identical_run(traj, shared)
+
+    @pytest.mark.parametrize("protocol, topologies, match", [
+        ("geometry", [chain(3), complete(3)], "2 topologies"),
+        ("geometry", [chain(3), chain(4), complete(3)],
+         r"3-node topology \(batch members \[1\]\)"),
+        ("geometry", [chain(3), complete(3),
+                      Topology(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]]))],
+         r"connected topology \(batch members \[2\]\)"),
+        ("chain", [chain(3), complete(3), chain(3)],
+         r"chain topology \(batch members \[1\]\)"),
+    ])
+    def test_rejects_a_bad_list(self, protocol, topologies, match):
+        kets = self._cap_kets(np.random.default_rng(74), 3)
+        with pytest.raises(ValueError, match=match):
+            simulate_network(kets, topologies, protocol, IntegratorConfig(t_max=0.1))
+
+    def test_rejects_a_list_with_unbatched_kets(self):
+        kets = self._cap_kets(np.random.default_rng(75), 1)[0]
+        with pytest.raises(ValueError, match="batch of kets"):
+            simulate_network(kets, [chain(3)], "geometry", IntegratorConfig(t_max=0.1))
 
 
 class TestStopMetric:

@@ -4,7 +4,7 @@ from qubitnet import experiments
 from qubitnet.core import density_from_bloch
 from qubitnet.dynamics import IntegratorConfig, simulate_network
 from qubitnet.metrics import quantum_average
-from qubitnet.topology import complete
+from qubitnet.topology import chain, complete
 
 
 def test_qcme_compare_cells_equal_one_seed_cells():
@@ -23,6 +23,24 @@ def test_qcme_compare_cells_equal_one_seed_cells():
     # seed's chain protocol does not settle by t_max
     assert len({len(c["series"]["full_qcme"][0]) for c in cells}) > 1
     assert any(c["settling"]["chain_eq"] == float("inf") for c in cells)
+
+
+def test_qcme_compare_geometry_batch_equals_per_topology_runs():
+    seeds = [0, 5, 6]
+    kwargs = dict(dt=8e-3, t_max=20.0)
+    cells = experiments.qcme_compare_cells(seeds, 0, **kwargs)
+    kets = np.array([experiments.kets_from_points(experiments.cap_points(
+        np.random.default_rng([0, 2, s]), 3, experiments.QCME_CAP_ANGLE))
+        for s in seeds])
+    cfg = IntegratorConfig(sample_every=20, **kwargs)
+    # both edge sets step as one batch; each equals its own topology's run
+    for key, t in (("chain_geo", chain(3)), ("full_geo", complete(3))):
+        trajs = simulate_network(kets, t, "geometry", cfg, gain=2.0)
+        for cell, traj in zip(cells, trajs, strict=True):
+            ts, ds = cell["series"][key]
+            np.testing.assert_array_equal(ts, traj.sample_times)
+            np.testing.assert_array_equal(
+                ds, experiments.symmetric_distance_series(traj))
 
 
 def test_symmetric_distance_series_equals_per_sample_loop():

@@ -3,14 +3,12 @@ import pytest
 
 from qubitnet.topology import (
     Topology,
-    algebraic_connectivity,
     chain,
     complete,
     from_edge_list,
     grid,
     is_chain,
     is_connected,
-    laplacian,
 )
 
 
@@ -104,31 +102,3 @@ class TestConnectivity:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         assert not is_connected(Topology(w))
-
-    def test_laplacian_rows_sum_to_zero(self):
-        for t in (chain(5), grid(3), complete(4)):
-            lap = laplacian(t)
-            np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
-            np.testing.assert_allclose(lap, lap.T, atol=1e-12)
-
-    def test_chain_fiedler_value_closed_form(self):
-        # second Laplacian eigenvalue of a path: 2 (1 - cos(pi / n))
-        for n in (2, 3, 5, 8):
-            expect = 2.0 * (1.0 - np.cos(np.pi / n))
-            assert algebraic_connectivity(chain(n)) == pytest.approx(expect, abs=1e-10)
-
-    def test_complete_fiedler_value(self):
-        assert algebraic_connectivity(complete(5)) == pytest.approx(5.0, abs=1e-10)
-
-    def test_grid_better_connected_than_chain(self):
-        for side in (2, 3, 4):
-            n = side * side
-            assert algebraic_connectivity(grid(side)) > algebraic_connectivity(
-                chain(n)
-            )
-
-    def test_disconnected_fiedler_value_zero(self):
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-        assert algebraic_connectivity(Topology(w)) == pytest.approx(0.0, abs=1e-12)
