@@ -112,8 +112,7 @@ def simulate_lindblad(rho0, axis, p: NoiseParams, cfg: IntegratorConfig) -> np.n
     ax = np.zeros(3) if axis is None else axis
     hl = cfg.dt * lindblad_rhs(np.eye(4).reshape(4, 2, 2), ax, p).reshape(4, 4).T
     step = sum(np.linalg.matrix_power(hl, n) / math.factorial(n) for n in range(5))
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    return (np.linalg.matrix_power(step, n_steps) @ np.ravel(rho0)).reshape(2, 2)
+    return (np.linalg.matrix_power(step, cfg.n_steps) @ np.ravel(rho0)).reshape(2, 2)
 
 
 def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
@@ -215,7 +214,8 @@ def simulate_protected_pair(
     An int seed gives one PairTrajectory. Seeds with one feedback flag
     each step one pair per seed, all from the same initial states, as one
     batch, and give one PairTrajectory per seed, each equal to its
-    one-member run.
+    one-member run. Every pair runs to cfg.t_max: a cfg.stop_threshold is
+    rejected.
     """
     batched = np.ndim(seed) > 0
     seeds = list(seed) if batched else [seed]
@@ -224,28 +224,29 @@ def simulate_protected_pair(
         raise ValueError(f"{fb_on.size} feedback flags for {len(seeds)} seeds")
     if fb_on.any() and p.gamma_z == 0.0:
         raise ValueError("feedback needs a measurement channel (gamma_z > 0)")
+    if cfg.stop_threshold is not None:
+        raise ValueError("protected-pair runs take no stop_threshold; they run to t_max")
     rho0 = np.array([rho0_i, rho0_j], dtype=complex)
     target = _coherence(rho0)
-    n_steps, sqrt_dt = int(round(cfg.t_max / cfg.dt)), math.sqrt(cfg.dt)
-    noise = np.stack([np.random.default_rng(s).normal(0.0, sqrt_dt, (n_steps, 2))
+    sqrt_dt = math.sqrt(cfg.dt)
+    noise = np.stack([np.random.default_rng(s).normal(0.0, sqrt_dt, (cfg.n_steps, 2))
                       for s in seeds], axis=1)
 
     y_sum = np.zeros((len(seeds), 2))
     suspended = np.zeros(len(seeds), dtype=int)
     k = 0
 
-    def step(x, members):
-        nonlocal k
+    def step(x):
+        nonlocal k, y_sum, suspended
         t = k * cfg.dt
-        on = fb_on[members]
         axes = np.zeros(x.shape[:-2] + (3,))
-        if t >= WARM_UP_TIME and on.any():
-            fb = feedback_hamiltonian(x, x[:, ::-1], target, y_sum[members] / t, p)
-            axes = np.where(on[:, None, None], fb.axis, 0.0)
-            suspended[members] += (fb.suspended & on[:, None]).sum(axis=1)
-        x, dy = sme_step(x, axes, p, noise[k, members], cfg.dt)
+        if t >= WARM_UP_TIME and fb_on.any():
+            fb = feedback_hamiltonian(x, x[:, ::-1], target, y_sum / t, p)
+            axes = np.where(fb_on[:, None, None], fb.axis, 0.0)
+            suspended += (fb.suspended & fb_on[:, None]).sum(axis=1)
+        x, dy = sme_step(x, axes, p, noise[k], cfg.dt)
         if dy is not None:
-            y_sum[members] += dy
+            y_sum += dy
         k += 1
         return x
 

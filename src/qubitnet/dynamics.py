@@ -52,6 +52,11 @@ class IntegratorConfig:
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of a run; a t_max off the dt grid is rounded to it."""
+        return int(round(self.t_max / self.dt))
+
 
 @dataclass
 class Trajectory:
@@ -224,16 +229,15 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
     """Shared stepping driver over one (N, .) run or a batch (B, ...) with
     its members on the leading axis.
 
-    step(x, members) returns the next state of the active rows x, which
-    belong to the batch members `members` (a full slice while every
-    member is active, so nothing is gathered). record(x) returns, for
-    each metric series in names, its values for the active rows. A
-    member whose cfg.stop_metric sample falls below cfg.stop_threshold
-    stops: its row leaves the batch and its trajectory ends at that
-    sample. As in a one-member run, the stop test starts at the first
-    sample after a step. A single run is stepped as the plain (N, .)
-    array, without a batch axis, and gives one Trajectory; a batch gives
-    one per member.
+    step(x) returns the next state of the whole of x. record(x) returns,
+    for each metric series in names, its values for x. A member stops at
+    the first sample whose cfg.stop_metric value falls below
+    cfg.stop_threshold: its trajectory ends at that sample. As in a
+    one-member run, the stop test starts at the first sample after a
+    step. Stopped members stay in the batch and are stepped on until the
+    last member stops, which ends the run. A single run is stepped as
+    the plain (N, .) array, without a batch axis, and gives one
+    Trajectory; a batch gives one per member.
     """
     stop = None
     if cfg.stop_threshold is not None:
@@ -242,49 +246,32 @@ def _integrate(x, step, record, names, cfg: IntegratorConfig):
                              f"this run records {sorted(names)}")
         stop = names.index(cfg.stop_metric)
     single = x.ndim == 2
-    size = 1 if single else x.shape[0]
     steps, snaps, values = [0], [x], [np.stack(record(x))]
-    members = slice(None)
-    ends = np.full(size, -1)  # last sample index of each stopped member
-    n_steps = int(round(cfg.t_max / cfg.dt))
+    ends = np.full(1 if single else x.shape[0], -1)  # last sample index of each member
+    n_steps = cfg.n_steps
     for k in range(1, n_steps + 1):
-        x = step(x, members)
+        x = step(x)
         if k % cfg.sample_every and k != n_steps:
             continue
         steps.append(k)
         snaps.append(x)
         values.append(np.stack(record(x)))
-        if stop is None:
-            continue
-        done = values[-1][stop] < cfg.stop_threshold
-        if done.all():
-            break
-        if done.any():
-            ids = np.arange(size)[members]
-            ends[ids[done]] = len(steps) - 1
-            members, x = ids[~done], x[~done]
+        if stop is not None:
+            ends[(ends < 0) & (values[-1][stop] < cfg.stop_threshold)] = len(steps) - 1
+            if (ends >= 0).all():
+                break
     times = np.array(steps) * cfg.dt
     if single:
         return Trajectory(sample_times=times, samples=np.array(snaps),
                           metrics=dict(zip(names, np.stack(values, axis=1))))
     ends[ends < 0] = len(steps) - 1
-
-    # Members leave the batch in order and never return, so member b is
-    # in samples 0..ends[b]. `take` lists the rows of the sample-major
-    # concatenation in member-major order.
-    live = np.arange(len(steps)) <= ends[:, None]
-    rank = np.cumsum(live.T).reshape(len(steps), size).T - 1
-    take = rank[live]
-    cuts = np.cumsum(ends + 1)[:-1]
-    flat = np.concatenate(snaps)
-    snaps.clear()  # keep one copy of the samples, not two, while regrouping
-    samples = np.split(flat[take], cuts)
-    series = np.split(np.concatenate(values, axis=1)[:, take], cuts, axis=1)
+    samples = np.stack(snaps, axis=1)  # (B, S, ...)
+    series = np.stack(values, axis=2)  # (names, B, S)
     return [
         Trajectory(
             sample_times=times[: e + 1],
-            samples=samples[b],
-            metrics=dict(zip(names, series[b])),
+            samples=samples[b, : e + 1],
+            metrics=dict(zip(names, series[:, b, : e + 1])),
         )
         for b, e in enumerate(ends)
     ]
@@ -333,7 +320,7 @@ def simulate_network(
     if protocol == "chain":
         check(is_chain, "chain protocol requires a chain topology")
 
-        def step(x, members):
+        def step(x):
             return _step_kets(x, gain * chain_axes(x), dt)
 
     elif protocol == "geometry":
@@ -347,11 +334,10 @@ def simulate_network(
                 "hemisphere; convergence of the geometric protocol is not guaranteed",
                 stacklevel=2,
             )
-        weights = np.array([tb.weights for tb in topologies])  # gathered like fixed_axes
+        weights = np.array([tb.weights for tb in topologies]) if listed else t
 
-        def step(x, members):
-            w = weights[members] if listed else t
-            return _step_kets(x, (0.5 * gain) * geometry_axes(_bloch_batch(x), w), dt)
+        def step(x):
+            return _step_kets(x, (0.5 * gain) * geometry_axes(_bloch_batch(x), weights), dt)
 
     else:  # min-time
         if n != 2:
@@ -361,8 +347,8 @@ def simulate_network(
              for u in _bloch_batch(kets.reshape(-1, 2, 2))]
         ).reshape(kets.shape[:-1] + (3,))
 
-        def step(x, members):
-            return _step_kets(x, fixed_axes[members], dt)
+        def step(x):
+            return _step_kets(x, fixed_axes, dt)
 
     names = ("V", "pure_state_error") + (("W_max",) if protocol == "chain" else ())
 
@@ -396,7 +382,7 @@ def simulate_sphere(
     if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial vectors must be unit")
 
-    def step(x, members):
+    def step(x):
         x = _rotate_vectors(x, gain * geometry_axes(x, t), cfg.dt)
         x /= np.linalg.norm(x, axis=-1)[..., None]
         return x
@@ -456,8 +442,7 @@ def simulate_qcme(
 
     batch = rho.reshape(-1, dim, dim)
     states, rho_bar = _qcme_flow(batch, t), quantum_average(batch)[:, None]
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times = np.append(np.arange(0, n_steps, cfg.sample_every), n_steps) * cfg.dt
+    times = np.append(np.arange(0, cfg.n_steps, cfg.sample_every), cfg.n_steps) * cfg.dt
     stop = -math.inf if cfg.stop_threshold is None else cfg.stop_threshold
     d = np.empty((len(batch), len(times)))
     for start in range(0, len(times), _QCME_BLOCK):

@@ -230,12 +230,6 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
     return [settling_time(traj, spec) for traj in trajs]
 
 
-def scaling_cell(kind: str, size: int, seed: int, master_seed: int,
-                 dt: float = 5e-3) -> float | None:
-    """Settling time of one (topology size, seed) sweep cell."""
-    return scaling_cells(kind, size, [seed], master_seed, dt)[0]
-
-
 def run_scaling_sweep(
     out_dir: str,
     chain_sizes: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
@@ -374,20 +368,11 @@ def run_qcme_compare(
     first = cells[0]["series"]
     for name, keys in (("chain", ("chain_eq", "chain_geo", "chain_qcme")),
                        ("full", ("full_geo", "full_qcme"))):
-        ts = first[keys[0]][0]
-        cols = []
-        for k in keys:
-            tk, dk = first[k]
-            # series may stop early; pad with the last value on the
-            # common time grid of the longest series
-            ts = ts if ts.size >= tk.size else tk
-            cols.append((tk, dk))
-        rows = []
-        for i, t in enumerate(ts):
-            row = [t]
-            for tk, dk in cols:
-                row.append(dk[min(i, dk.size - 1)])
-            rows.append(row)
+        # series may stop early; pad each with its last value on the
+        # time grid of the longest series
+        ts = max((first[k][0] for k in keys), key=len)
+        cols = [first[k][1] for k in keys]
+        rows = [[t] + [d[min(i, d.size - 1)] for d in cols] for i, t in enumerate(ts)]
         _write_csv(os.path.join(out_dir, f"qcme_compare_{name}.csv"),
                    ["time"] + list(keys), rows)
 

@@ -91,9 +91,9 @@ class TestNetworkRunner:
 
 class TestScalingSweep:
     def test_cells_independent_of_order(self):
-        a = experiments.scaling_cell("chain", 5, seed=2, master_seed=7)
-        _ = experiments.scaling_cell("grid", 3, seed=0, master_seed=7)
-        b = experiments.scaling_cell("chain", 5, seed=2, master_seed=7)
+        a = experiments.scaling_cells("chain", 5, [2], master_seed=7)[0]
+        _ = experiments.scaling_cells("grid", 3, [0], master_seed=7)[0]
+        b = experiments.scaling_cells("chain", 5, [2], master_seed=7)[0]
         assert a == b
 
     def test_sweep_csv(self, tmp_path):
@@ -121,7 +121,7 @@ class TestScalingSweep:
         rng = np.random.default_rng([0, 0, 2, 0])
         v = rng.normal(size=(2, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        t2 = experiments.scaling_cell("chain", 2, seed=0, master_seed=0)
+        t2 = experiments.scaling_cells("chain", 2, [0], master_seed=0)[0]
         kets = np.array([ket_from_bloch(u) for u in v])
         cfg = IntegratorConfig(dt=5e-3, t_max=20.0)
         traj = simulate_network(kets, chain(2), "min-time", cfg)

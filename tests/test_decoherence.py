@@ -306,3 +306,9 @@ class TestProtectedPair:
             simulate_protected_pair(rho, rho, NoiseParams(),
                                     IntegratorConfig(t_max=0.01), [1, 2],
                                     feedback=[True])
+
+    def test_rejects_stop_threshold(self):
+        rho = density_from_bloch([0.6, 0.0, 0.0])
+        cfg = IntegratorConfig(t_max=0.01, stop_threshold=1e-2, stop_metric="distance")
+        with pytest.raises(ValueError, match="stop_threshold"):
+            simulate_protected_pair(rho, rho, NoiseParams(), cfg, seed=0)
