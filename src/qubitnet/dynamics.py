@@ -14,7 +14,6 @@ equivalence holds step by step, not only in the continuum limit).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -82,17 +81,20 @@ class Trajectory:
         """One row per sample: time, per-qubit Bloch components, metrics."""
         u = self.bloch()  # raises before the file exists when there are no samples
         names = sorted(self.metrics)
-        header = ["time"]
-        for i in range(1, u.shape[1] + 1):  # CLI reports 1-based qubit indices
-            header += [f"q{i}_x", f"q{i}_y", f"q{i}_z"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header + names)
-            for k, t in enumerate(self.sample_times):
-                row = [repr(float(t))]
-                row += [repr(float(v)) for v in u[k].ravel()]
-                row += [repr(float(self.metrics[m][k])) for m in names]
-                writer.writerow(row)
+        qubits = range(1, u.shape[1] + 1)  # CLI reports 1-based qubit indices
+        header = ["time"] + [f"q{i}_{c}" for i in qubits for c in "xyz"]
+        table = np.column_stack([self.sample_times, u.reshape(len(u), -1)]
+                                + [self.metrics[m] for m in names])
+        # rows become Python floats one at a time, never the whole table
+        write_table(path, header + names, (map(repr, row.tolist()) for row in table))
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """CSV header and rows of cell strings (no comma, quote or line break in
+    a cell), comma-joined with \\r\\n line ends: csv.writer's bytes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def write_manifest(path, config: dict) -> None:

@@ -10,7 +10,6 @@ ready, so a run that fails leaves none behind.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from .dynamics import (
     simulate_qcme,
     simulate_sphere,
     write_manifest,
+    write_table,
 )
 from .metrics import SettlingSpec, quantum_average, settling_time
 from .protocols import min_time
@@ -69,12 +69,10 @@ def kets_from_points(points: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+    """Runner table: floats written as repr(float(v)), other cells as str(v)."""
+    write_table(path, header,
+                ([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                  for v in row] for row in rows))
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -241,6 +239,9 @@ def run_scaling_sweep(
     """Median settling times versus network size for chains and grids."""
     if n_seeds < 3:
         raise ValueError("need at least 3 seeds per size for a median")
+    for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)):
+        if sizes and min(sizes) < 2:
+            raise ValueError(f"{kind} sizes must be at least 2, got {min(sizes)}")
     rows = []
     medians: dict[str, dict[int, float]] = {"chain": {}, "grid": {}}
     for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)):
@@ -448,20 +449,11 @@ def run_coherence_protect(
         }
         finals[arm] = np.array([r.final_rhos for r in members])
 
-    rows = []
-    for i, t in enumerate(times):
-        rows.append([t,
-                     arms["fb"]["cxy_mean"][i], arms["fb"]["cxy_se"][i],
-                     arms["nofb"]["cxy_mean"][i], arms["nofb"]["cxy_se"][i],
-                     arms["fb"]["dist_mean"][i], arms["fb"]["dist_se"][i],
-                     arms["nofb"]["dist_mean"][i], arms["nofb"]["dist_se"][i]])
+    cols = {f"{q}_{arm}_{stat}": arms[arm][f"{q}_{stat}"]
+            for q in ("cxy", "dist") for arm in ("fb", "nofb") for stat in ("mean", "se")}
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "coherence_protect.csv")
-    _write_csv(csv_path, ["time",
-                          "cxy_fb_mean", "cxy_fb_se",
-                          "cxy_nofb_mean", "cxy_nofb_se",
-                          "dist_fb_mean", "dist_fb_se",
-                          "dist_nofb_mean", "dist_nofb_se"], rows)
+    _write_csv(csv_path, ["time", *cols], np.column_stack([times, *cols.values()]))
 
     # deterministic reference for the feedback-off arm
     rho_lind = simulate_lindblad(rho_i, np.zeros(3), p, cfg)

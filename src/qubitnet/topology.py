@@ -95,6 +95,8 @@ def from_edge_list(text: str) -> Topology:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not math.isfinite(w):
             raise ValueError(f"line {lineno}: weight must be finite, got {parts[2]}")
+        if w < 0.0:
+            raise ValueError(f"line {lineno}: weight must be nonnegative, got {parts[2]}")
         if i < 1 or j < 1:
             raise ValueError(f"line {lineno}: indices are 1-based, got {i}, {j}")
         if i == j:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,35 @@ class TestCliInterface:
         assert np.isfinite(rows).all()
 
 
+TINY_RUNS = [
+    ["min-time-heatmap", "--resolution", "8", "--dt", "2e-2"],
+    ["chain-run", "--t-max", "0.5", "--seed", "4"],
+    ["grid-run", "--t-max", "0.5", "--seed", "4"],
+    ["scaling-sweep", "--chain-sizes", "3", "--grid-sides", "2", "--n-seeds", "3",
+     "--dt", "2e-2", "--seed", "4"],
+    ["qcme-compare", "--n-seeds", "2", "--dt", "2e-2", "--t-max", "2", "--seed", "4"],
+    ["coherence-protect", "--n-traj", "2", "--t-max", "0.02", "--seed", "4"],
+    ["sphere-twin-check", "--n-seeds", "2", "--t-max", "0.5", "--seed", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+def test_same_seed_same_bytes(tmp_path, capsys, argv):
+    """Every file a run writes, and its stdout, repeat byte for byte. Both
+    runs use one --out path, since a summary may record its CSV's path."""
+    out = tmp_path / "run"
+
+    def run_once() -> dict:
+        shutil.rmtree(out, ignore_errors=True)
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        return {"stdout": capsys.readouterr().out, **files}
+
+    first = run_once()
+    assert len(first) >= 3  # stdout, at least one table and the manifest
+    assert run_once() == first
+
+
 class TestInputValidation:
     def test_coherence_needs_two_trajectories(self, tmp_path, capsys):
         out = tmp_path / "coh"
@@ -277,6 +307,25 @@ class TestInputValidation:
         assert err.count("\n") == 1
         doc = json.loads(err)
         assert doc["type"] == "ValueError" and message in doc["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, message", [
+        (["--grid-sides", "1"], "grid sizes must be at least 2, got 1"),
+        (["--chain-sizes", "5", "1", "--grid-sides", "2"],
+         "chain sizes must be at least 2, got 1"),
+    ])
+    def test_scaling_sweep_checks_sizes_before_any_cell(self, tmp_path, capsys,
+                                                         monkeypatch, sizes, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep cell ran before the sizes were checked")
+
+        monkeypatch.setattr(experiments, "simulate_network", no_run)
+        out = tmp_path / "s"
+        assert main(["scaling-sweep", "--out", str(out), *sizes]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc == {"error": message, "type": "ValueError"}
         assert not out.exists()
 
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):

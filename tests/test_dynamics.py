@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from qubitnet import dynamics
+from qubitnet.experiments import _write_csv
 from qubitnet.core import (
     MINUS_I_PAULI_REAL,
     PAULI,
@@ -812,3 +814,53 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="no per-qubit samples"):
             traj.to_csv(p)
         assert not p.exists()
+
+
+def csv_writer_rows(path, header, rows):
+    """Oracle: the csv.writer loop the table writer replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                        for v in row])
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                   5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300])
+_FLOATS = st.one_of(_SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_-.0123456789", min_size=1),
+)
+
+
+class TestTableWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(st.text(alphabet="abcxyz_0123456789", min_size=1), max_size=6),
+           rows=st.lists(st.lists(_CELLS, max_size=8), max_size=12))
+    def test_runner_table_matches_csv_writer(self, tmp_path_factory, header, rows):
+        d = tmp_path_factory.mktemp("table")
+        _write_csv(d / "new.csv", header, rows)
+        csv_writer_rows(d / "oracle.csv", header, rows)
+        assert (d / "new.csv").read_bytes() == (d / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("protocol", ["chain", "geometry", "sphere"])
+    def test_trajectory_csv_matches_csv_writer(self, tmp_path, protocol):
+        rng = np.random.default_rng(52)
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.5, sample_every=3)
+        if protocol == "sphere":
+            traj = simulate_sphere(np.array([random_unit(rng) for _ in range(4)]),
+                                   grid(2), cfg)
+        else:
+            traj = simulate_network(sphere_kets(rng, 4), chain(4), protocol, cfg)
+        traj.to_csv(tmp_path / "new.csv")
+        u, names = traj.bloch(), sorted(traj.metrics)
+        header = ["time"] + [f"q{i}_{c}" for i in range(1, 5) for c in "xyz"] + names
+        rows = [[t, *u[k].ravel(), *(traj.metrics[m][k] for m in names)]
+                for k, t in enumerate(traj.sample_times)]
+        csv_writer_rows(tmp_path / "oracle.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

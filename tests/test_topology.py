@@ -89,6 +89,11 @@ class TestEdgeList:
                                              r"first given on line 1"):
             from_edge_list(text)
 
+    def test_negative_weight_names_its_line(self):
+        with pytest.raises(ValueError,
+                           match=r"^line 2: weight must be nonnegative, got -1$"):
+            from_edge_list("1 2 1\n2 3 -1\n")
+
     @pytest.mark.parametrize("line", ["1 2.5 1", "one 2 1", "1 2 heavy",
                                       "1 2 inf", "1 2 nan"])
     def test_unparsable_field_names_its_line(self, line):
