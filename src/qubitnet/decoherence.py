@@ -250,15 +250,16 @@ def simulate_protected_pair(
         k += 1
         return x
 
-    def record(x):
-        cxy = _coherence(x)
+    def distance(x):
         # Frobenius norm as np.linalg.norm computes it for one 2x2 matrix
-        d = (x[:, 0] - x[:, 1]).reshape(-1, 4)
-        dist = np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
-        return cxy[:, 0], cxy[:, 1], dist
+        d = (x[..., 0, :, :] - x[..., 1, :, :]).reshape(x.shape[:-3] + (4,))
+        return np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
 
+    series = {"cxy_i": lambda x: _coherence(x[..., 0, :, :]),
+              "cxy_j": lambda x: _coherence(x[..., 1, :, :]),
+              "distance": distance}
     x0 = np.repeat(rho0[None], len(seeds), axis=0)
-    runs = _integrate(x0, step, record, ("cxy_i", "cxy_j", "distance"), cfg)
+    runs = _integrate(x0, step, series, cfg)
     out = [PairTrajectory(r.sample_times,
                           np.stack([r.metrics["cxy_i"], r.metrics["cxy_j"]], axis=1),
                           r.metrics["distance"], target, int(n), r.samples[-1])

@@ -64,6 +64,8 @@ class Trajectory:
     sample_times: np.ndarray
     samples: np.ndarray | None  # (S, N, 2) complex kets or (S, N, 3) Bloch
     metrics: dict[str, np.ndarray] = field(default_factory=dict)
+    # "threshold" when a stop metric fell below the stop threshold, else "t_max"
+    stop_reason: str = "t_max"
 
     def __post_init__(self):
         if np.any(np.diff(self.sample_times) <= 0.0):
@@ -215,6 +217,11 @@ def _hemisphere_lp(u: np.ndarray) -> bool:
 
 PROTOCOLS = ("chain", "geometry", "min-time")
 _QCME_BLOCK = 64  # QCME samples per product, so memory does not grow with t_max / dt
+# bound on samples x members x N^2 per stacked series call: the pairwise
+# (..., N, N, 3) temporaries then stay a few hundred kB whatever the run
+_SERIES_BLOCK = 8192
+# a run whose kept samples would take more bytes is rejected before its first step
+_MAX_SAMPLE_BYTES = 2 * 2**30
 
 
 def _batch(states, width: int) -> tuple[np.ndarray, bool]:
@@ -227,55 +234,74 @@ def _batch(states, width: int) -> tuple[np.ndarray, bool]:
     return states.reshape(-1, width), False
 
 
-def _integrate(x, step, record, names, cfg: IntegratorConfig):
+def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
     """Shared stepping driver over one (N, .) run or a batch (B, ...) with
     its members on the leading axis.
 
-    step(x) returns the next state of the whole of x. record(x) returns,
-    for each metric series in names, its values for x. A member stops at
-    the first sample whose cfg.stop_metric value falls below
-    cfg.stop_threshold: its trajectory ends at that sample. As in a
-    one-member run, the stop test starts at the first sample after a
-    step. Stopped members stay in the batch and are stepped on until the
-    last member stops, which ends the run. A single run is stepped as
-    the plain (N, .) array, without a batch axis, and gives one
-    Trajectory; a batch gives one per member.
+    step(x) returns the next state of the whole of x. series maps each
+    metric name to a function giving one value per state of a stack of
+    states with any leading axes. A member stops at the first sample
+    whose cfg.stop_metric value falls below cfg.stop_threshold: its
+    trajectory ends at that sample. As in a one-member run, the stop test
+    starts at the first sample after a step. Stopped members stay in the
+    batch and are stepped on until the last member stops, which ends the
+    run. A single run is stepped as the plain (N, .) array, without a
+    batch axis, and gives one Trajectory; a batch gives one per member.
+
+    Only the stop metric (when a threshold is set) and the series named
+    in per_sample are evaluated at every kept sample. The others are
+    computed after the run over the stacked samples, in blocks of at most
+    _SERIES_BLOCK samples x members x N^2, so their temporaries stay small.
     """
     stop = None
     if cfg.stop_threshold is not None:
-        if cfg.stop_metric not in names:
-            raise ValueError(f"unknown stop_metric {cfg.stop_metric!r}; "
-                             f"this run records {sorted(names)}")
-        stop = names.index(cfg.stop_metric)
-    single = x.ndim == 2
-    steps, snaps, values = [0], [x], [np.stack(record(x))]
-    ends = np.full(1 if single else x.shape[0], -1)  # last sample index of each member
+        stop = cfg.stop_metric
+        if stop not in series:
+            raise ValueError(f"unknown stop_metric {stop!r}; "
+                             f"this run records {sorted(series)}")
     n_steps = cfg.n_steps
+    sample_bytes = (n_steps // cfg.sample_every + 2) * x.nbytes
+    if sample_bytes > _MAX_SAMPLE_BYTES:
+        raise ValueError(f"{n_steps} steps sampled every {cfg.sample_every} would keep "
+                         f"{sample_bytes / 2**30:.3g} GiB of samples, over the "
+                         f"{_MAX_SAMPLE_BYTES / 2**30:g} GiB limit; raise dt or lower t_max")
+    single = x.ndim == 2
+    steps, snaps = [0], [x]
+    live = {m: [f(x)] for m, f in series.items() if m == stop or m in per_sample}
+    ends = np.full(1 if single else x.shape[0], -1)  # last sample index of each member
     for k in range(1, n_steps + 1):
         x = step(x)
         if k % cfg.sample_every and k != n_steps:
             continue
         steps.append(k)
         snaps.append(x)
-        values.append(np.stack(record(x)))
+        for m in live:
+            live[m].append(series[m](x))
         if stop is not None:
-            ends[(ends < 0) & (values[-1][stop] < cfg.stop_threshold)] = len(steps) - 1
+            ends[(ends < 0) & (live[stop][-1] < cfg.stop_threshold)] = len(steps) - 1
             if (ends >= 0).all():
                 break
     times = np.array(steps) * cfg.dt
+    done = {m: np.stack(values, axis=-1) for m, values in live.items()}
+    del live  # its lists go, like the snapshots, before the samples are copied
+    axis = 0 if single else 1  # samples are (S, N, .) or (B, S, ...)
+    # one copy, without the per-snapshot views np.stack would make
+    samples = np.concatenate(snaps, axis=axis).reshape(
+        x.shape[:axis] + (len(snaps),) + x.shape[axis:])
+    del snaps  # so the kept samples are held twice only while they are copied
+    block = max(1, _SERIES_BLOCK // (x.size // x.shape[-1] * x.shape[-2]))
+    parts = np.split(samples, range(block, len(steps), block), axis=axis)
+    metrics = {m: done[m] if m in done
+               else np.concatenate([f(part) for part in parts], axis=-1)
+               for m, f in series.items()}
+    reasons = ["t_max" if e < 0 else "threshold" for e in ends]
     if single:
-        return Trajectory(sample_times=times, samples=np.array(snaps),
-                          metrics=dict(zip(names, np.stack(values, axis=1))))
+        return Trajectory(times, samples, metrics, reasons[0])
     ends[ends < 0] = len(steps) - 1
-    samples = np.stack(snaps, axis=1)  # (B, S, ...)
-    series = np.stack(values, axis=2)  # (names, B, S)
     return [
-        Trajectory(
-            sample_times=times[: e + 1],
-            samples=samples[b, : e + 1],
-            metrics=dict(zip(names, series[:, b, : e + 1])),
-        )
-        for b, e in enumerate(ends)
+        Trajectory(times[: e + 1], samples[b, : e + 1],
+                   {m: v[b, : e + 1] for m, v in metrics.items()}, reason)
+        for b, (e, reason) in enumerate(zip(ends, reasons))
     ]
 
 
@@ -352,15 +378,15 @@ def simulate_network(
         def step(x):
             return _step_kets(x, fixed_axes, dt)
 
-    names = ("V", "pure_state_error") + (("W_max",) if protocol == "chain" else ())
-
-    def record(x):
-        out = [_consecutive_v(x), _pairwise_error(_bloch_batch(x))]
-        if protocol == "chain":
-            out.append(lyapunov_decay_terms(x).max(axis=-1))
-        return out
-
-    return _integrate(kets, step, record, names, cfg)
+    series = {"V": _consecutive_v,
+              "pure_state_error": lambda x: _pairwise_error(_bloch_batch(x))}
+    if protocol != "chain":
+        return _integrate(kets, step, series, cfg)
+    series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
+    # W_max stays per sample: bench/selftest.py pins the chain_axes calls of
+    # a 50-step chain-run at 50 steps + 11 samples = 61. Computing it over the
+    # stacked samples makes that 51, and the pin moves with the benchmark.
+    return _integrate(kets, step, series, cfg, per_sample=("W_max",))
 
 
 def simulate_sphere(
@@ -389,10 +415,8 @@ def simulate_sphere(
         x /= np.linalg.norm(x, axis=-1)[..., None]
         return x
 
-    def record(x):
-        return _max_pairwise_angle(x), _pairwise_error(x)
-
-    return _integrate(x, step, record, ("max_angle", "pure_state_error"), cfg)
+    series = {"max_angle": _max_pairwise_angle, "pure_state_error": _pairwise_error}
+    return _integrate(x, step, series, cfg)
 
 
 def _qcme_flow(rho: np.ndarray, t: Topology):
@@ -453,9 +477,11 @@ def simulate_qcme(
         below = d[:, 1:block.stop] < stop  # the stop test starts after step 0
         if below.any(axis=1).all():
             break
-    ends = np.where(below.any(axis=1), below.argmax(axis=1) + 1, len(times) - 1)
-    runs = [Trajectory(times[:e + 1], None, {"composite_distance": d[b, :e + 1]})
-            for b, e in enumerate(ends)]
+    stopped = below.any(axis=1)
+    ends = np.where(stopped, below.argmax(axis=1) + 1, len(times) - 1)
+    runs = [Trajectory(times[:e + 1], None, {"composite_distance": d[b, :e + 1]},
+                       "threshold" if s else "t_max")
+            for b, (e, s) in enumerate(zip(ends, stopped))]
     return runs if rho.ndim == 3 else runs[0]
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,19 @@ class TestInputValidation:
         assert err.count("\n") == 1
         doc = json.loads(err)
         assert doc == {"error": message, "type": "ValueError"}
+        assert not out.exists()
+
+    def test_samples_that_cannot_fit_are_rejected_at_once(self, tmp_path, capsys):
+        # 5e10 steps sampled every 5: rejected before the first step
+        out = tmp_path / "c"
+        t0 = time.perf_counter()
+        rc = main(["chain-run", "--out", str(out), "--dt", "1e-9"])
+        assert time.perf_counter() - t0 < 5.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["type"] == "ValueError" and "GiB of samples" in doc["error"]
         assert not out.exists()
 
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import csv
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from qubitnet import dynamics
+from qubitnet import decoherence, dynamics
 from qubitnet.experiments import _write_csv
 from qubitnet.core import (
     MINUS_I_PAULI_REAL,
     PAULI,
     bloch_from_ket,
+    density_from_bloch,
     ket_from_bloch,
 )
+from qubitnet.decoherence import NoiseParams, _coherence, simulate_protected_pair
 from qubitnet.dynamics import (
     IntegratorConfig,
     Trajectory,
@@ -25,7 +29,7 @@ from qubitnet.dynamics import (
     simulate_qcme,
     simulate_sphere,
 )
-from qubitnet.metrics import quantum_average
+from qubitnet.metrics import lyapunov_decay_terms, quantum_average
 from qubitnet.protocols import chain_axes, geometry_axes
 from qubitnet.topology import Topology, chain, complete, from_edge_list, grid
 
@@ -596,6 +600,217 @@ class TestStopMetric:
         assert runs["pure_state_error"] < runs["max_angle"]
 
 
+def _per_sample_driver(x, step, record, names, cfg):
+    """The stepping driver as it was when record(x) gave every series at
+    every kept sample: the oracle of the split record."""
+    stop = None
+    if cfg.stop_threshold is not None:
+        stop = names.index(cfg.stop_metric)
+    single = x.ndim == 2
+    steps, snaps, values = [0], [x], [np.stack(record(x))]
+    ends = np.full(1 if single else x.shape[0], -1)
+    n_steps = cfg.n_steps
+    for k in range(1, n_steps + 1):
+        x = step(x)
+        if k % cfg.sample_every and k != n_steps:
+            continue
+        steps.append(k)
+        snaps.append(x)
+        values.append(np.stack(record(x)))
+        if stop is not None:
+            ends[(ends < 0) & (values[-1][stop] < cfg.stop_threshold)] = len(steps) - 1
+            if (ends >= 0).all():
+                break
+    times = np.array(steps) * cfg.dt
+    if single:
+        return Trajectory(times, np.array(snaps), dict(zip(names, np.stack(values, axis=1))))
+    ends[ends < 0] = len(steps) - 1
+    samples = np.stack(snaps, axis=1)
+    series = np.stack(values, axis=2)
+    return [Trajectory(times[: e + 1], samples[b, : e + 1],
+                       dict(zip(names, series[:, b, : e + 1])))
+            for b, e in enumerate(ends)]
+
+
+def _network_record(protocol):
+    def record(x):
+        out = [dynamics._consecutive_v(x),
+               dynamics._pairwise_error(dynamics._bloch_batch(x))]
+        if protocol == "chain":
+            out.append(lyapunov_decay_terms(x).max(axis=-1))
+        return out
+
+    return record
+
+
+def _sphere_record(x):
+    return dynamics._max_pairwise_angle(x), dynamics._pairwise_error(x)
+
+
+def _pair_record(x):
+    cxy = _coherence(x)
+    d = (x[:, 0] - x[:, 1]).reshape(-1, 4)
+    dist = np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
+    return cxy[:, 0], cxy[:, 1], dist
+
+
+def _run_and_oracle(run, record, module=dynamics):
+    """run() as it is, and run() with module._integrate swapped for the
+    per-sample oracle driver fed by record."""
+
+    def oracle(x, step, series, cfg, per_sample=()):
+        return _per_sample_driver(x, step, record, tuple(series), cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_integrate", oracle)
+        expected = run()
+    return run(), expected
+
+
+_SERIES_NAMES = {"chain": ["V", "pure_state_error", "W_max"],
+                 "geometry": ["V", "pure_state_error"],
+                 "sphere": ["max_angle", "pure_state_error"]}
+
+
+@st.composite
+def split_runs(draw):
+    """A chain, geometry or sphere run: B 1-5 members of N 2-6 qubits
+    spread from identical to uniform, sample_every 1-7, no threshold or
+    one on any recorded series, and a series block from 1 sample up."""
+    kind = draw(st.sampled_from(sorted(_SERIES_NAMES)))
+    n, size = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spreads = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]),
+                            min_size=size, max_size=size))
+    pts = np.array([0.0, 0.0, 1.0]) + (np.array(spreads)[:, None, None]
+                                       * rng.normal(size=(size, n, 3)))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    if size == 1 and draw(st.booleans()):
+        pts = pts[0]  # a plain (N, 3) run, without a batch axis
+    metric = draw(st.sampled_from([None] + _SERIES_NAMES[kind]))
+    threshold = None
+    if metric is not None:
+        threshold = draw(st.floats(1e-4, 1.0)) * (-1.0 if metric == "W_max" else 1.0)
+    cfg = IntegratorConfig(dt=0.05, t_max=0.05 * draw(st.integers(1, 40)),
+                           sample_every=draw(st.integers(1, 7)),
+                           stop_threshold=threshold, stop_metric=metric or "V")
+    topology = chain(n) if kind == "chain" else draw(st.sampled_from([chain(n), complete(n)]))
+    block = draw(st.sampled_from([1, 40, 300, dynamics._SERIES_BLOCK]))
+    return kind, pts, topology, cfg, block
+
+
+def _assert_equals_oracle(got, want, cfg):
+    np.testing.assert_array_equal(got.sample_times, want.sample_times)  # the stop sample
+    np.testing.assert_array_equal(got.samples, want.samples)
+    assert list(got.metrics) == list(want.metrics)
+    for name, series in want.metrics.items():
+        np.testing.assert_array_equal(got.metrics[name], series, err_msg=name)
+    stopped = (cfg.stop_threshold is not None and len(want.sample_times) > 1
+               and want.metrics[cfg.stop_metric][-1] < cfg.stop_threshold)
+    assert got.stop_reason == ("threshold" if stopped else "t_max")
+
+
+class TestSplitRecord:
+    """Series computed after the run over the stacked samples equal the
+    series recorded one kept sample at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_runs())
+    def test_equals_per_sample_oracle(self, case):
+        kind, pts, topology, cfg, block = case
+        if kind == "sphere":
+            def run():
+                return simulate_sphere(pts, topology, cfg)
+
+            record = _sphere_record
+        else:
+            kets = np.apply_along_axis(ket_from_bloch, -1, pts)
+
+            def run():
+                return simulate_network(kets, topology, kind, cfg)
+
+            record = _network_record(kind)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("ignore", UserWarning)  # outside a hemisphere
+            mp.setattr(dynamics, "_SERIES_BLOCK", block)
+            got, want = _run_and_oracle(run, record)
+        if pts.ndim == 2:
+            got, want = [got], [want]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_equals_oracle(g, w, cfg)
+
+    def test_protected_pair_equals_per_sample_oracle(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_SERIES_BLOCK", 100)  # 4 samples a block
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch([0.1, 0.7, -0.1])
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=7)
+
+        def run():
+            return simulate_protected_pair(a, b, NoiseParams(), cfg, [11, 12, 13],
+                                           feedback=[True, False, True])
+
+        got, want = _run_and_oracle(run, _pair_record, decoherence)
+        for g, w in zip(got, want):
+            for name in ("sample_times", "coherence", "distance", "final_rhos"):
+                np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
+            assert g.suspended_steps == w.suspended_steps
+
+    def test_series_temporaries_stay_small(self):
+        """A heatmap-shaped run: 64 two-qubit chain members sampled every
+        step, 1 001 samples, no stop. Its allocations peak at the kept
+        samples twice (the snapshots and their one stacked copy) plus less
+        than 1 MB, the per-sample W_max series included."""
+        rng = np.random.default_rng(5)
+        kets = np.array([sphere_kets(rng, 2) for _ in range(64)])
+        cfg = IntegratorConfig(dt=1e-3, t_max=1.0)
+        tracemalloc.start()
+        try:
+            trajs = simulate_network(kets, chain(2), "chain", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = trajs[0].sample_times.size * kets.nbytes
+        assert trajs[0].sample_times.size == 1001
+        assert peak - 2 * kept < 2**20
+
+    def test_stop_reason_per_member(self):
+        rng = np.random.default_rng(61)
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=2, stop_threshold=0.1)
+        pts = _mixed_batch(rng, 4, 1e-2)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+        trajs = simulate_network(kets, chain(4), "chain", cfg)
+        # settled at t = 0, stopped part way, never stopped
+        assert [t.sample_times.size for t in trajs][::2] == [2, 51]
+        assert 2 < trajs[1].sample_times.size < 51
+        assert [t.stop_reason for t in trajs] == ["threshold", "threshold", "t_max"]
+        assert simulate_network(kets[0], chain(4), "chain", cfg).stop_reason == "threshold"
+        unbounded = IntegratorConfig(dt=1e-2, t_max=0.1)
+        assert simulate_network(kets[0], chain(4), "chain", unbounded).stop_reason == "t_max"
+
+
+class TestSampleBudget:
+    def test_rejects_before_the_first_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a run whose samples cannot fit")
+
+        monkeypatch.setattr(dynamics, "_step_kets", no_step)
+        kets = sphere_kets(np.random.default_rng(3), 5)
+        cfg = IntegratorConfig(dt=1e-9, t_max=50.0, sample_every=5)
+        with pytest.raises(ValueError, match="GiB of samples"):
+            simulate_network(kets, chain(5), "chain", cfg)
+
+    def test_limit_is_on_the_kept_sample_bytes(self, monkeypatch):
+        # 10 steps sampled every 5 keep at most 10 // 5 + 2 = 4 samples
+        kets = sphere_kets(np.random.default_rng(3), 3)
+        cfg = IntegratorConfig(dt=0.1, t_max=1.0, sample_every=5)
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", 4 * kets.nbytes)
+        assert simulate_network(kets, chain(3), "chain", cfg).sample_times.size == 3
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", 4 * kets.nbytes - 1)
+        with pytest.raises(ValueError, match="GiB of samples"):
+            simulate_network(kets, chain(3), "chain", cfg)
+
+
 class TestSimulateQcme:
     def test_distance_decreases(self):
         rng = np.random.default_rng(41)
@@ -664,6 +879,16 @@ class TestSimulateQcme:
         assert runs[2].metrics["composite_distance"][-1] >= 1e-2
         d = runs[1].metrics["composite_distance"]
         assert d[-1] < 1e-2 <= d[-2]
+
+    def test_stop_reason_per_member(self):
+        rho = self._members()
+        cfg = IntegratorConfig(dt=1e-2, t_max=3.0, sample_every=10,
+                               stop_threshold=1e-2, stop_metric="composite_distance")
+        runs = simulate_qcme(rho, chain(3), cfg)
+        # settled at t = 0, stopped part way, never stopped
+        assert [r.stop_reason for r in runs] == ["threshold", "threshold", "t_max"]
+        unbounded = IntegratorConfig(dt=1e-2, t_max=0.5)
+        assert simulate_qcme(rho[0], chain(3), unbounded).stop_reason == "t_max"
 
     def test_stop_metric_must_be_the_distance(self):
         cfg = IntegratorConfig(dt=1e-2, t_max=1.0, stop_threshold=1e-2)
