@@ -218,9 +218,9 @@ def _hemisphere_lp(u: np.ndarray) -> bool:
 PROTOCOLS = ("chain", "geometry", "min-time")
 _QCME_BLOCK = 64  # QCME samples per product, so memory does not grow with t_max / dt
 # bound on samples x members x N^2 per stacked series call: the pairwise
-# (..., N, N, 3) temporaries then stay a few hundred kB whatever the run
-_SERIES_BLOCK = 8192
-# a run whose kept samples would take more bytes is rejected before its first step
+# (..., N, N, 3) temporaries then stay about 100 kB whatever the run
+_SERIES_BLOCK = 4096
+# most bytes the kept samples of one run may take; _integrate says when it checks
 _MAX_SAMPLE_BYTES = 2 * 2**30
 
 
@@ -252,6 +252,11 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
     in per_sample are evaluated at every kept sample. The others are
     computed after the run over the stacked samples, in blocks of at most
     _SERIES_BLOCK samples x members x N^2, so their temporaries stay small.
+
+    Kept samples may take at most _MAX_SAMPLE_BYTES. A run without a stop
+    threshold that would keep more is rejected before its first step; a
+    run with one raises at the sample that goes over, so a run that stops
+    early is not rejected for what it would have kept without a stop.
     """
     stop = None
     if cfg.stop_threshold is not None:
@@ -260,11 +265,12 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
             raise ValueError(f"unknown stop_metric {stop!r}; "
                              f"this run records {sorted(series)}")
     n_steps = cfg.n_steps
+    limit = f"{_MAX_SAMPLE_BYTES / 2**30:g} GiB limit"
     sample_bytes = (n_steps // cfg.sample_every + 2) * x.nbytes
-    if sample_bytes > _MAX_SAMPLE_BYTES:
+    if stop is None and sample_bytes > _MAX_SAMPLE_BYTES:
         raise ValueError(f"{n_steps} steps sampled every {cfg.sample_every} would keep "
-                         f"{sample_bytes / 2**30:.3g} GiB of samples, over the "
-                         f"{_MAX_SAMPLE_BYTES / 2**30:g} GiB limit; raise dt or lower t_max")
+                         f"{sample_bytes / 2**30:.3g} GiB of samples, over the {limit}; "
+                         "raise dt or lower t_max")
     single = x.ndim == 2
     steps, snaps = [0], [x]
     live = {m: [f(x)] for m, f in series.items() if m == stop or m in per_sample}
@@ -275,6 +281,10 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
             continue
         steps.append(k)
         snaps.append(x)
+        if len(snaps) * x.nbytes > _MAX_SAMPLE_BYTES:
+            raise ValueError(f"after {k} of {n_steps} steps the kept samples went over "
+                             f"the {limit} with a member not yet below the "
+                             f"{stop} threshold; raise dt or the threshold")
         for m in live:
             live[m].append(series[m](x))
         if stop is not None:

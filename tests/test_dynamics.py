@@ -810,6 +810,30 @@ class TestSampleBudget:
         with pytest.raises(ValueError, match="GiB of samples"):
             simulate_network(kets, chain(3), "chain", cfg)
 
+    def test_thresholded_run_is_judged_on_the_samples_it_keeps(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        kets = np.array([sphere_kets(rng, 4) for _ in range(3)])
+        # 10 000 steps could keep 2 002 samples; every member stops long before
+        cfg = IntegratorConfig(dt=1e-2, t_max=100.0, sample_every=5, stop_threshold=0.1)
+        want = simulate_network(kets, chain(4), "chain", cfg)
+        kept = max(t.sample_times.size for t in want)
+        assert all(t.stop_reason == "threshold" for t in want) and kept < 2002 // 4
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * kets.nbytes)
+        got = simulate_network(kets, chain(4), "chain", cfg)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.sample_times, w.sample_times)
+            assert np.array_equal(g.samples, w.samples)
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * kets.nbytes - 1)
+        with pytest.raises(ValueError, match=f"after {5 * (kept - 1)} of 10000 steps"):
+            simulate_network(kets, chain(4), "chain", cfg)
+
+    def test_settled_run_with_a_huge_step_count_runs(self):
+        # 5e10 steps would keep far over the limit; the agreed network stops at once
+        kets = np.tile(sphere_kets(np.random.default_rng(8), 1), (3, 1))
+        cfg = IntegratorConfig(dt=1e-9, t_max=50.0, stop_threshold=1e-6)
+        traj = simulate_network(kets, chain(3), "chain", cfg)
+        assert traj.sample_times.size == 2 and traj.stop_reason == "threshold"
+
 
 class TestSimulateQcme:
     def test_distance_decreases(self):
