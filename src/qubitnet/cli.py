@@ -113,13 +113,11 @@ def run(args: argparse.Namespace) -> dict:
         # strip the in-memory ndarray extras; keep the serializable part
         return {k: v for k, v in summary.items()
                 if k in ("csv", "n_traj", "cxy_fb_at_half", "cxy_nofb_at_half",
-                         "pooled_se_at_half", "dist_fb_initial",
-                         "dist_fb_final")}
+                         "pooled_se_at_half", "dist_fb_initial", "dist_fb_final")}
     if exp == "sphere-twin-check":
-        res = experiments.run_sphere_twin_check(
+        return experiments.run_sphere_twin_check(
             args.out, master_seed=args.seed, n_seeds=args.n_seeds,
             dt=args.dt, t_max=args.t_max)
-        return {"max_deviation": res["max_deviation"]}
     raise ValueError(f"unknown experiment {exp!r}")
 
 

@@ -29,6 +29,8 @@ from .dynamics import IntegratorConfig, _integrate
 WARM_UP_TIME = 0.01
 RECORD_FLOOR = 1e-3
 
+_NOISE_BLOCK = 1024  # noise steps drawn at a time, so none before _integrate's checks
+
 _OFF_DIAGONAL = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # np.arctan2's SIMD kernel differs from libm in the last bit on a few
@@ -207,9 +209,9 @@ def simulate_protected_pair(
     """Co-evolve two qubits under independent measurement noise.
 
     Each qubit owns an independent Wiener stream; the feedback axes are
-    rebuilt every step from the running measurement averages. Feedback is
-    off during the warm-up window. Deterministic under a fixed seed: the
-    noise is default_rng(seed).normal(0, sqrt(dt), size=(n_steps, 2)).
+    rebuilt every step from the running measurement averages, with
+    feedback off during the warm-up window. A seed's noise, drawn in blocks
+    as the run goes, is default_rng(seed).normal(0, sqrt(dt), (n_steps, 2)).
 
     An int seed gives one PairTrajectory. Seeds with one feedback flag
     each step one pair per seed, all from the same initial states, as one
@@ -229,22 +231,25 @@ def simulate_protected_pair(
     rho0 = np.array([rho0_i, rho0_j], dtype=complex)
     target = _coherence(rho0)
     sqrt_dt = math.sqrt(cfg.dt)
-    noise = np.stack([np.random.default_rng(s).normal(0.0, sqrt_dt, (cfg.n_steps, 2))
-                      for s in seeds], axis=1)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    noise = None
 
     y_sum = np.zeros((len(seeds), 2))
     suspended = np.zeros(len(seeds), dtype=int)
     k = 0
 
     def step(x):
-        nonlocal k, y_sum, suspended
+        nonlocal k, y_sum, suspended, noise
+        if k % _NOISE_BLOCK == 0:
+            noise = np.stack([rng.normal(0.0, sqrt_dt, (_NOISE_BLOCK, 2))
+                              for rng in rngs], axis=1)
         t = k * cfg.dt
         axes = np.zeros(x.shape[:-2] + (3,))
         if t >= WARM_UP_TIME and fb_on.any():
             fb = feedback_hamiltonian(x, x[:, ::-1], target, y_sum / t, p)
             axes = np.where(fb_on[:, None, None], fb.axis, 0.0)
             suspended += (fb.suspended & fb_on[:, None]).sum(axis=1)
-        x, dy = sme_step(x, axes, p, noise[k], cfg.dt)
+        x, dy = sme_step(x, axes, p, noise[k % _NOISE_BLOCK], cfg.dt)
         if dy is not None:
             y_sum += dy
         k += 1

@@ -14,7 +14,6 @@ equivalence holds step by step, not only in the continuum limit).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -99,12 +98,6 @@ def write_table(path, header: list[str], rows) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def write_manifest(path, config: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _bloch_batch(kets: np.ndarray) -> np.ndarray:
     a = kets[..., 0]
     b = kets[..., 1]
@@ -177,16 +170,11 @@ def _max_pairwise_angle(u: np.ndarray) -> np.ndarray:
 
 
 def in_open_hemisphere(u: np.ndarray) -> bool | np.ndarray:
-    """True iff some unit vector c has c . u_i > 0 for every row u_i.
+    """True iff some unit vector c has c . u_i > 1e-9 for every row u_i.
 
-    u of shape (N, 3) gives a bool; a (B, N, 3) stack gives a (B,) bool
-    array, one answer per member. A member is settled without an LP when
-    one of a few trial directions c (+-x, +-y, +-z, each row u_i and the
-    row mean, normalized) has min_i c . u_i > 1e-6: c is then a feasible
-    point of the LP below with a margin above its 1e-9 threshold, so the
-    LP would also answer True. The other members are decided by the LP:
-    maximize the margin t subject to u_i . c >= t with box-bounded c; a
-    strictly positive optimum certifies the open hemisphere condition.
+    u of shape (N, 3) gives a bool, a (B, N, 3) stack a (B,) bool array.
+    Trial directions (+-x, +-y, +-z, each row and the normalized row mean)
+    settle most members in one batch; _hemisphere_exact decides the rest.
     """
     u = np.asarray(u, dtype=float)
     stack = u.reshape((-1,) + u.shape[-2:])
@@ -195,24 +183,32 @@ def in_open_hemisphere(u: np.ndarray) -> bool | np.ndarray:
     dirs /= np.where(norms > 0.0, norms, 1.0)
     axis_margins = np.concatenate([stack.min(axis=-2), -stack.max(axis=-2)], axis=-1)
     dir_margins = (stack @ np.swapaxes(dirs, -1, -2)).min(axis=-2)
-    inside = np.maximum(axis_margins.max(axis=-1), dir_margins.max(axis=-1)) > 1e-6
+    inside = np.maximum(axis_margins.max(axis=-1), dir_margins.max(axis=-1)) > 1e-9
     for b in np.flatnonzero(~inside):
-        inside[b] = _hemisphere_lp(stack[b])
+        inside[b] = _hemisphere_exact(stack[b])
     return bool(inside[0]) if u.ndim == 2 else inside
 
 
-def _hemisphere_lp(u: np.ndarray) -> bool:
-    from scipy.optimize import linprog  # a slow import most runs never need
+def _hemisphere_exact(u: np.ndarray) -> bool:
+    """Exact decision for one (N, 3) set, its rows scaled to unit length.
 
-    a_ub = np.hstack([-u, np.ones((u.shape[0], 1))])
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=np.zeros(u.shape[0]),
-        bounds=[(-1, 1), (-1, 1), (-1, 1), (0, 2)],
-        method="highs",
-    )
-    return bool(res.success and -res.fun > 1e-9)
+    When max over unit c of min_i c . u_i is positive, c is the centre of
+    the smallest cap holding the rows, fixed by at most three rows at the
+    same c . u: a row u_k, the direction of u_i + u_k, or the normal
+    (u_i - u_k) x (u_j - u_k) turned toward u_k. One k at a time over
+    i < j < k keeps each pass to at most N^2 / 2 candidates.
+    """
+    norms = np.sqrt((u * u).sum(axis=1, keepdims=True))
+    u = u / np.where(norms > 0.0, norms, 1.0)  # a zero row stays 0: never inside
+    for k in range(len(u)):
+        d = u[:k] - u[k]
+        i, j = np.triu_indices(k, 1)
+        c = np.concatenate([u[k:k + 1], u[:k] + u[k], row_cross(d[i], d[j])])
+        c *= np.sign(c @ u[k])[:, None]
+        # a zero candidate has margin 0 and certifies nothing
+        if ((c @ u.T).min(axis=1) > 1e-9 * np.sqrt((c * c).sum(axis=1))).any():
+            return True
+    return False
 
 
 PROTOCOLS = ("chain", "geometry", "min-time")

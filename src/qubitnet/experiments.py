@@ -24,7 +24,6 @@ from .dynamics import (
     simulate_network,
     simulate_qcme,
     simulate_sphere,
-    write_manifest,
     write_table,
 )
 from .metrics import SettlingSpec, quantum_average, settling_time
@@ -73,6 +72,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     write_table(path, header,
                 ([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
                   for v in row] for row in rows))
+
+
+def write_manifest(path, config: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(config, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -504,23 +509,19 @@ def run_sphere_twin_check(
         raise ValueError("need at least 1 seed")
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10)
     t = grid(3)
-    worst = 0.0
-    rows = []
     pts = np.array([
         hemisphere_points(np.random.default_rng([master_seed, 5, s]), t.n)
         for s in range(n_seeds)])
     kets = np.array([kets_from_points(p) for p in pts])
     quantum = simulate_network(kets, t, "geometry", cfg)
     sphere = simulate_sphere(pts, t, cfg)
-    for s, (tq, tc) in enumerate(zip(quantum, sphere)):
-        dev = float(np.max(np.abs(tq.bloch() - tc.samples)))
-        rows.append((s, dev))
-        worst = max(worst, dev)
+    devs = [float(np.max(np.abs(tq.bloch() - tc.samples)))
+            for tq, tc in zip(quantum, sphere)]
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "twin_check.csv"),
-               ["seed", "max_deviation"], rows)
+               ["seed", "max_deviation"], enumerate(devs))
     write_manifest(os.path.join(out_dir, "manifest.json"), {
         "experiment": "sphere-twin-check", "master_seed": master_seed,
         "n_seeds": n_seeds, "dt": dt, "t_max": t_max,
     })
-    return {"max_deviation": worst, "per_seed": rows}
+    return {"max_deviation": max(devs)}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qubitnet import decoherence
 from qubitnet.core import density_from_bloch
 from qubitnet.decoherence import (
     WARM_UP_TIME,
@@ -299,6 +300,36 @@ class TestProtectedPair:
         rng = np.random.default_rng(5)
         scalar = [[rng.normal(0.0, 0.01) for _ in (0, 1)] for _ in range(300)]
         np.testing.assert_array_equal(block, scalar)
+
+    def test_noise_blocks_keep_each_seeds_stream(self, monkeypatch):
+        # 300 steps in blocks of 7, the last one partial, against one block
+        p = NoiseParams()
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch([0.1, 0.7, -0.1])
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=9)
+        args = (a, b, p, cfg, [31, 32], [True, False])
+        whole = simulate_protected_pair(*args)
+        monkeypatch.setattr(decoherence, "_NOISE_BLOCK", 7)
+        for got, one in zip(simulate_protected_pair(*args), whole):
+            for name in ("coherence", "distance", "final_rhos"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(one, name))
+            assert got.suspended_steps == one.suspended_steps
+
+    def test_rejected_run_draws_no_noise(self, monkeypatch):
+        # 5e8 steps: the kept samples are over the limit, and drawing the
+        # run's noise before the check would take 8 GB per seed
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def normal(self, *args, **kwargs):
+                raise AssertionError("noise drawn before the sample check")
+
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        rho = density_from_bloch([0.6, 0.0, 0.0])
+        cfg = IntegratorConfig(dt=1e-9, t_max=0.5, sample_every=50)
+        with pytest.raises(ValueError, match="GiB of samples"):
+            simulate_protected_pair(rho, rho, NoiseParams(), cfg, [1, 2], [True, False])
 
     def test_rejects_mismatched_feedback_flags(self):
         rho = density_from_bloch([0.6, 0.0, 0.0])

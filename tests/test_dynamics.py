@@ -165,13 +165,49 @@ class TestHemisphereMatchesLp:
             decided.append(u.copy())
             return False
 
-        monkeypatch.setattr(dynamics, "_hemisphere_lp", lp)
+        monkeypatch.setattr(dynamics, "_hemisphere_exact", lp)
         north = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
         antipodal = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.0, -1.0]])
         assert in_open_hemisphere(np.stack([north, antipodal, north])).tolist() == [
             True, False, True]
         assert len(decided) == 1
         np.testing.assert_array_equal(decided[0], antipodal)
+
+    def test_triple_normal_decides_an_uncertified_member(self, monkeypatch):
+        # inside an open hemisphere, but no trial direction, row or pair sum
+        # certifies it: only the normal of a triple does
+        u = np.array([[0.04354210496756797, -0.9861555657875068, -0.1600040160787089],
+                      [0.8714105060934059, 0.4902245253956084, -0.01799012425429053],
+                      [-0.8773219041826708, -0.4622821152724274, 0.12884689495887341],
+                      [-0.9472048933541458, -0.2627727493200254, 0.18372090850188044]])
+        pair_sums = _unit_rows(u[:, None] + u[None]).reshape(-1, 3)
+        assert (pair_sums @ u.T).min(axis=1).max() <= 1e-9
+        exact, decided = dynamics._hemisphere_exact, []
+        monkeypatch.setattr(dynamics, "_hemisphere_exact",
+                            lambda v: decided.append(v) or exact(v))
+        assert in_open_hemisphere(u) is True
+        assert len(decided) == 1
+        assert lp_open_hemisphere(u)
+
+    def test_fallback_memory_stays_small(self):
+        # 100 points outside every hemisphere: every candidate is tried
+        u = _unit_rows(np.random.default_rng(3).normal(size=(100, 3)))
+        tracemalloc.start()
+        try:
+            inside = dynamics._hemisphere_exact(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not inside and not lp_open_hemisphere(u)
+        assert peak < 16 * 2**20
+
+    def test_fallback_takes_non_unit_rows(self):
+        # mixed-state Bloch vectors 170 degrees apart, one of length 0.1:
+        # u_0 + u_1 leans to the long row, only the bisector certifies them
+        a = math.radians(170.0)
+        u = np.array([[1.0, 0.0, 0.0], [0.1 * math.cos(a), 0.1 * math.sin(a), 0.0]])
+        assert in_open_hemisphere(u) is True and lp_open_hemisphere(u)
+        assert in_open_hemisphere(np.array([[0.5, 0.0, 0.0], [-0.1, 0.0, 0.0]])) is False
 
 
 def _cross_terms(a, b):
