@@ -161,18 +161,19 @@ def conjugate(rho, U) -> np.ndarray:
     return U @ rho @ U.conj().T
 
 
+# Row j, as a 3x3 matrix, is the map b -> e_j x b (its column k is e_j x e_k),
+# so (a @ _SKEW_FORMS).reshape(..., 3, 3) is the skew matrix [a]_x with
+# [a]_x b = a x b. Each column holds one +-1, so building [a]_x is exact.
+_SKEW_FORMS = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
+
+
 def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product a x b of matching (..., 3) arrays, row by row.
 
-    The arithmetic of np.cross, written out by component: on the few-row
-    arrays of a network step, np.cross's own per-call overhead costs
-    more than the products.
+    Two numpy calls whatever the batch: the exact skew matrix [a]_x, then
+    one contraction with b. Row i sums the products a_j b_k of np.cross
+    with one exact zero, so the values are np.cross's (a fused
+    multiply-add in another build could move the last bit).
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(a.shape, np.result_type(a, b))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return np.einsum("...ij,...j->...i", (a @ _SKEW_FORMS).reshape(a.shape + (3,)), b)
 

@@ -74,9 +74,15 @@ class Trajectory:
         """Bloch vectors of every sample, shape (S, N, 3)."""
         if self.samples is None:
             raise ValueError("trajectory has no per-qubit samples")
-        if np.iscomplexobj(self.samples):
-            return _bloch_batch(self.samples)
-        return self.samples
+        if not np.iscomplexobj(self.samples):
+            return self.samples
+        # at most _SERIES_BLOCK kets a call, so the form temporaries of
+        # _bloch_batch stay small whatever the run length
+        out = np.empty(self.samples.shape[:-1] + (3,))
+        block = max(1, _SERIES_BLOCK // self.samples.shape[1])
+        for i in range(0, len(out), block):
+            out[i:i + block] = _bloch_batch(self.samples[i:i + block])
+        return out
 
     def to_csv(self, path) -> None:
         """One row per sample: time, per-qubit Bloch components, metrics."""
@@ -98,15 +104,24 @@ def write_table(path, header: list[str], rows) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
+# For the real view r of a ket (a, b), row p of (r @ _BLOCH_FORMS).reshape(3, 4)
+# is the form M_p with M_p . r the Bloch component p:
+#   x = 2 (Re a Re b + Im a Im b),  y = 2 (Re a Im b - Im a Re b),
+#   z = |a|^2 - |b|^2.
+# Each column holds at most one nonzero (+-1 or +-2), so building M is exact.
+_BLOCH_FORMS = np.array([
+    # x           y            z
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],  # Re a
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],  # Im a
+    [2, 0, 0, 0, 0, -2, 0, 0, 0, 0, -1, 0],  # Re b
+    [0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, -1],  # Im b
+], dtype=float)
+
+
 def _bloch_batch(kets: np.ndarray) -> np.ndarray:
-    a = kets[..., 0]
-    b = kets[..., 1]
-    ab = a.conj() * b
-    out = np.empty(kets.shape[:-1] + (3,))
-    out[..., 0] = 2.0 * ab.real
-    out[..., 1] = 2.0 * ab.imag
-    out[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
-    return out
+    """Bloch vectors of a (..., 2) ket batch, shape (..., 3), from the real view."""
+    r = np.ascontiguousarray(kets, dtype=complex).view(float)
+    return np.einsum("...pj,...j->...p", (r @ _BLOCH_FORMS).reshape(r.shape[:-1] + (3, 4)), r)
 
 
 # (cos phi, sin(phi) e) @ _STEP_FORMS is the real 4x4 form of
@@ -125,26 +140,28 @@ def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
     omega = np.sqrt((axes * axes).sum(axis=-1))
     phi = omega * dt
     coef = np.empty(r.shape)
-    coef[..., 0] = np.cos(phi)
+    np.cos(phi, out=coef[..., 0])
     # sin(0) is exactly 0, so a zero axis gets a zero rotation part
     np.multiply(axes, (np.sin(phi) / (omega + (omega == 0.0)))[..., None],
                 out=coef[..., 1:])
     step = (coef @ _STEP_FORMS).reshape(r.shape + (4,))
-    return np.einsum("...ij,...j->...i", step, r).view(complex)
+    return (step @ r[..., None])[..., 0].view(complex)
 
 
 def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
-    """Rodrigues rotation of each (..., 3) row of x about its axis by |axis| * dt."""
-    shape = x.shape
-    x, axes = x.reshape(-1, 3), axes.reshape(-1, 3)
-    omega = np.linalg.norm(axes, axis=1)
-    phi = omega * dt
-    safe = np.where(omega > 0.0, omega, 1.0)
-    e = axes / safe[:, None]
-    c = np.cos(phi)[:, None]
-    s = np.where(omega > 0.0, np.sin(phi), 0.0)[:, None]
-    dot = np.einsum("ij,ij->i", e, x)[:, None]
-    return (x * c + row_cross(e, x) * s + e * dot * (1.0 - c)).reshape(shape)
+    """Rodrigues rotation of each (..., 3) row of x about its axis n by |n| * dt.
+
+    Written on the unnormalized axis, x c + (n x x) s/|n| + n (n . x)(1 - c)/|n|^2
+    with c, s the cosine and sine of the angle, so no unit axis is formed.
+    A zero axis leaves its row unchanged. The rotation keeps |x| to rounding.
+    """
+    w2 = (axes * axes).sum(axis=-1)
+    phi = np.sqrt(w2) * dt
+    c = np.cos(phi)
+    safe = w2 + (w2 == 0.0)  # a zero axis has c = 1 and n x x = 0: any divisor will do
+    s = np.sin(phi) / np.sqrt(safe)
+    k = (1.0 - c) * (axes * x).sum(axis=-1) / safe
+    return x * c[..., None] + row_cross(axes, x) * s[..., None] + axes * k[..., None]
 
 
 def _consecutive_v(kets: np.ndarray) -> np.ndarray:
@@ -417,9 +434,7 @@ def simulate_sphere(
         raise ValueError("initial vectors must be unit")
 
     def step(x):
-        x = _rotate_vectors(x, gain * geometry_axes(x, t), cfg.dt)
-        x /= np.linalg.norm(x, axis=-1)[..., None]
-        return x
+        return _rotate_vectors(x, gain * geometry_axes(x, t), cfg.dt)
 
     series = {"max_angle": _max_pairwise_angle, "pure_state_error": _pairwise_error}
     return _integrate(x, step, series, cfg)

@@ -82,7 +82,7 @@ def chain_axes(states: np.ndarray) -> np.ndarray:
     """
     r = np.ascontiguousarray(states, dtype=complex).view(float)
     forms = (r[..., :-1, :] @ _CROSS_FORMS).reshape(r.shape[:-2] + (-1, 3, 4))
-    c = np.einsum("...pj,...j->...p", forms, r[..., 1:, :])  # c_1 .. c_{N-1}
+    c = (forms @ r[..., 1:, :, None])[..., 0]  # c_1 .. c_{N-1}
     out = np.zeros(r.shape[:-1] + (3,))
     out[..., :-1, :] = c
     out[..., 1:, :] -= c

@@ -18,6 +18,9 @@ from qubitnet.core import (
     bloch_from_ket,
     density_from_bloch,
     ket_from_bloch,
+    row_cross,
+    so3_from_su2,
+    su2_from_axis_angle,
 )
 from qubitnet.decoherence import NoiseParams, _coherence, simulate_protected_pair
 from qubitnet.dynamics import (
@@ -30,7 +33,7 @@ from qubitnet.dynamics import (
     simulate_sphere,
 )
 from qubitnet.metrics import lyapunov_decay_terms, quantum_average
-from qubitnet.protocols import chain_axes, geometry_axes
+from qubitnet.protocols import _CROSS_FORMS, chain_axes, geometry_axes
 from qubitnet.topology import Topology, chain, complete, from_edge_list, grid
 
 RNG = np.random.default_rng(11)
@@ -228,6 +231,45 @@ def _step_kets_complex(kets, axes, dt):
     return np.stack([c * a - 1j * s * na, c * b - 1j * s * nb], axis=-1)
 
 
+# Reference forms of the kernels: the same exact 0/+-1 forms contracted by
+# einsum, the cross product written out by component, and Rodrigues on the
+# unit axis.
+def _step_kets_einsum(kets, axes, dt):
+    r = np.ascontiguousarray(kets, dtype=complex).view(float)
+    omega = np.sqrt((axes * axes).sum(axis=-1))
+    phi = omega * dt
+    coef = np.empty(r.shape)
+    coef[..., 0] = np.cos(phi)
+    np.multiply(axes, (np.sin(phi) / (omega + (omega == 0.0)))[..., None],
+                out=coef[..., 1:])
+    step = (coef @ dynamics._STEP_FORMS).reshape(r.shape + (4,))
+    return np.einsum("...ij,...j->...i", step, r).view(complex)
+
+
+def _chain_axes_einsum(states):
+    r = np.ascontiguousarray(states, dtype=complex).view(float)
+    forms = (r[..., :-1, :] @ _CROSS_FORMS).reshape(r.shape[:-2] + (-1, 3, 4))
+    c = np.einsum("...pj,...j->...p", forms, r[..., 1:, :])
+    out = np.zeros(r.shape[:-1] + (3,))
+    out[..., :-1, :] = c
+    out[..., 1:, :] -= c
+    return out
+
+
+def _row_cross_components(a, b):
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _rotate_vectors_unit_axis(x, axes, dt):
+    """Rodrigues on the unit axis e: x c + (e x x) s + e (e . x)(1 - c)."""
+    omega = np.linalg.norm(axes, axis=-1, keepdims=True)
+    e = axes / np.where(omega > 0.0, omega, 1.0)
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    return x * c + np.cross(e, x) * s + e * (e * x).sum(axis=-1, keepdims=True) * (1.0 - c)
+
+
 @st.composite
 def ket_batches(draw):
     """(B, N, 2) unit kets, B 1..4, N 2..8."""
@@ -342,6 +384,114 @@ class TestRealViewKernels:
         assert set(np.unique(forms)) <= {-1.0, 0.0, 1.0}
         # one nonzero per entry across I and the three forms: products are exact
         np.testing.assert_array_equal(np.abs(forms).sum(axis=0), np.ones((4, 4)))
+
+
+def _assert_within(got, want, scale):
+    """|got - want| <= 1e-15 x scale entrywise: room for the last bit that a
+    fused multiply-add in another BLAS build may move."""
+    err = np.abs(got - want)
+    assert got.shape == want.shape and (err <= 1e-15 * scale).all(), (
+        f"largest error {err.max():.3g}, scale {np.max(scale):.3g}")
+
+
+_LAYOUTS = {"contiguous": lambda k: k, "fortran": np.asfortranarray,
+            "reversed_qubits": lambda k: k[:, ::-1]}
+
+
+class TestKernelOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_step_matches_einsum_oracle(self, data):
+        kets = _LAYOUTS[data.draw(st.sampled_from(sorted(_LAYOUTS)))](data.draw(ket_batches()))
+        axes = data.draw(axis_batches(kets.shape[:-1] + (3,)))
+        dt = data.draw(st.floats(0.0, 0.1))
+        out = dynamics._step_kets(kets, axes, dt)
+        assert out.dtype == complex
+        _assert_within(out, _step_kets_einsum(kets, axes, dt), 1.0)
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [0.3, -0.4, 1.2], [0.0, 0.0, 0.0]])
+    def test_one_ket_step_matches_einsum_oracle(self, axis):
+        psi = ket_from_bloch(random_unit(np.random.default_rng(4)))
+        out = dynamics._step_kets(psi, np.array(axis), 0.7)
+        assert out.shape == (2,)
+        _assert_within(out, _step_kets_einsum(psi, np.array(axis), 0.7), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(_LAYOUTS)), ket_batches())
+    def test_chain_axes_match_einsum_oracle(self, layout, kets):
+        kets = _LAYOUTS[layout](kets)
+        # each cross term is at most 1, so an axis is at most 2
+        _assert_within(chain_axes(kets), _chain_axes_einsum(kets), 2.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_row_cross_matches_components_and_np_cross(self, data):
+        shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)), 3)
+        a, b = (data.draw(axis_batches(shape)) for _ in range(2))
+        if data.draw(st.booleans()):
+            a = a + 1j * data.draw(axis_batches(shape))
+        if data.draw(st.booleans()):  # strided rows
+            a, b = a[:, ::-1], np.asfortranarray(b)[:, ::-1]
+        scale = (np.sqrt((np.abs(a) ** 2).sum(axis=-1))
+                 * np.sqrt((np.abs(b) ** 2).sum(axis=-1)))[..., None]
+        got = row_cross(a, b)
+        assert got.dtype == np.result_type(a, b)
+        _assert_within(got, _row_cross_components(a, b), scale)
+        _assert_within(got, np.cross(a, b), scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_stacks(), st.data())
+    def test_rotation_matches_unit_axis_rodrigues(self, x, data):
+        axes = data.draw(axis_batches(x.shape))
+        dt = data.draw(st.floats(0.0, 0.1))
+        out = dynamics._rotate_vectors(x, axes, dt)
+        _assert_within(out, _rotate_vectors_unit_axis(x, axes, dt), 10.0)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, rtol=0, atol=1e-14)
+        # a zero axis leaves its row as it was
+        zero = (axes == 0.0).all(axis=-1)
+        np.testing.assert_array_equal(out[zero], x[zero])
+
+
+def _random_su2(rng):
+    return su2_from_axis_angle(random_unit(rng), rng.uniform(0.0, 4.0 * math.pi))
+
+
+class TestKernelProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(ket_batches(), st.integers(0, 2**32 - 1))
+    def test_axes_rotate_with_the_frame(self, kets, seed):
+        # turning every ket by one U turns both protocols' axes by so3(U)
+        rng = np.random.default_rng(seed)
+        u = _random_su2(rng)
+        r = so3_from_su2(u)
+        turned = kets @ u.T
+        np.testing.assert_allclose(chain_axes(turned), chain_axes(kets) @ r.T,
+                                   rtol=0, atol=1e-13)
+        n = kets.shape[1]
+        w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(n, n))
+        t = Topology(weights=np.triu(w, 1) + np.triu(w, 1).T)
+        np.testing.assert_allclose(
+            geometry_axes(dynamics._bloch_batch(turned), t),
+            geometry_axes(dynamics._bloch_batch(kets), t) @ r.T, rtol=0, atol=1e-13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.sampled_from([1e-3, 1e-2]))
+    def test_chain_v_never_rises(self, seed, n, dt):
+        kets = np.random.default_rng(seed).normal(size=(8, n, 4))
+        kets = (kets / np.linalg.norm(kets, axis=-1, keepdims=True)).view(complex)
+        cfg = IntegratorConfig(dt=dt, t_max=300 * dt)
+        for run in simulate_network(kets, chain(n), "chain", cfg):
+            assert np.diff(run.metrics["V"]).max() <= 1e-12
+
+    def test_sphere_steps_keep_unit_norm(self):
+        # no renormalization: the rotation alone holds |x| = 1
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 9, 3))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        cfg = IntegratorConfig(dt=1e-3, t_max=10.0, sample_every=500)
+        for run in simulate_sphere(x, grid(3), cfg):
+            assert len(run.sample_times) == 21
+            assert np.abs(np.linalg.norm(run.samples, axis=-1) - 1.0).max() < 1e-12
 
 
 class TestSimulateNetwork:
@@ -1099,6 +1249,21 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="no per-qubit samples"):
             traj.to_csv(p)
         assert not p.exists()
+
+    def test_bloch_of_a_long_run_stays_small(self):
+        """20 001 samples of 9 kets: the conversion goes in blocks, so its
+        allocations peak at the (S, N, 3) result plus less than 1 MB."""
+        samples = np.random.default_rng(6).normal(size=(20001, 9, 4))
+        samples = (samples / np.linalg.norm(samples, axis=-1, keepdims=True)).view(complex)
+        traj = Trajectory(np.arange(20001) * 1e-3, samples)
+        tracemalloc.start()
+        try:
+            u = traj.bloch()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - u.nbytes < 2**20
+        np.testing.assert_array_equal(u, dynamics._bloch_batch(samples))
 
 
 def csv_writer_rows(path, header, rows):
