@@ -1,11 +1,13 @@
 """Seeded experiment runners behind the CLI.
 
-Every runner writes its artifacts plus a manifest.json holding the full
-configuration, so a run can be reproduced byte-for-byte from the manifest
-alone. Per-cell random streams are derived from the master seed and the
-cell coordinates, which makes sweep results independent of execution
-order. A runner creates its output directory only once its results are
-ready, so a run that fails leaves none behind.
+Every runner ends in one `write_run` call, which writes its tables and
+JSON documents plus a manifest.json holding the full configuration, so a
+run can be reproduced byte-for-byte from the manifest alone. Per-cell
+random streams are derived from the master seed and the cell
+coordinates, which makes sweep results independent of execution order.
+`write_run` is the only code that creates the output directory, and a
+runner calls it only once all of its results are computed, so a run
+that fails leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -74,15 +76,41 @@ def _write_csv(path: str, header: list[str], rows) -> None:
                   for v in row] for row in rows))
 
 
-def write_manifest(path, config: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True, default=str)
+def write_run(out_dir: str, manifest: dict, tables=None, docs=None) -> None:
+    """Create out_dir and write a run's artifacts into it.
+
+    tables maps a file name to a (header, rows) pair, written by
+    _write_csv, or to a Trajectory, written by its to_csv. docs maps a
+    file name to a JSON document. manifest.json holds the configuration.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name, table in (tables or {}).items():
+        path = os.path.join(out_dir, name)
+        if isinstance(table, Trajectory):
+            table.to_csv(path)
+        else:
+            _write_csv(path, *table)
+    for name, doc in (docs or {}).items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
 def _finite_or_null(x: float) -> float | None:
     """x, or None (JSON null) where it is NaN or infinite."""
     return x if math.isfinite(x) else None
+
+
+# The two consensus families: sweep random stream, topology builder,
+# initial-state draw, protocol, gain and settling metric. Grids settle on
+# pure_state_error: the geometric flow aligns Bloch vectors, not global
+# phases, so V has a phase floor there.
+FAMILIES = {
+    "chain": (0, chain, sphere_points, "chain", 1.0, "V"),
+    "grid": (1, grid, hemisphere_points, "geometry", 2.0, "pure_state_error"),
+}
 
 
 def run_min_time_heatmap(
@@ -133,16 +161,14 @@ def run_min_time_heatmap(
         rows.append((theta, dphi, t1, t_min, t1 - t_min))
         max_diff = max(max_diff, t1 - t_min)
 
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "min_time_heatmap.csv")
-    _write_csv(path, ["theta", "dphi", "t1", "t_min", "diff"], rows)
-    write_manifest(os.path.join(out_dir, "manifest.json"), {
+    write_run(out_dir, {
         "experiment": "min-time-heatmap",
         "resolution": resolution,
         "dt": dt,
         "v_threshold": v_threshold,
-    })
-    return {"csv": path, "cells": len(rows), "max_diff": max_diff}
+    }, tables={"min_time_heatmap.csv": (["theta", "dphi", "t1", "t_min", "diff"], rows)})
+    return {"csv": os.path.join(out_dir, "min_time_heatmap.csv"), "cells": len(rows),
+            "max_diff": max_diff}
 
 
 def run_network_experiment(
@@ -155,38 +181,22 @@ def run_network_experiment(
 ) -> dict:
     """Single seeded consensus run with trajectory CSV and summary JSON.
 
-    kind "chain-run": chain of 5 under the Lyapunov chain protocol from
-    uniform-sphere initial states, settling metric V. kind "grid-run":
-    3 x 3 grid under the geometric protocol (bare gain 2) from
-    hemisphere initial states, settling metric pure_state_error (the
-    geometric flow aligns Bloch vectors, not global phases, so V has a
-    phase floor on non-chain graphs).
+    kind "chain-run" is a chain of 5, kind "grid-run" a 3 x 3 grid, each
+    set up as its entry in FAMILIES.
     """
+    family = kind.removesuffix("-run")
+    if family == kind or family not in FAMILIES:
+        raise ValueError(f"unknown network experiment kind {kind!r}")
+    _, build, draw, protocol, gain, metric = FAMILIES[family]
+    t = topology if topology is not None else build(5 if family == "chain" else 3)
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=5,
                            stop_threshold=None)
-    rng = np.random.default_rng([seed, 0])
-    if kind == "chain-run":
-        t = topology if topology is not None else chain(5)
-        protocol, gain = "chain", 1.0
-        points = sphere_points(rng, t.n)
-        metric = "V"
-    elif kind == "grid-run":
-        t = topology if topology is not None else grid(3)
-        protocol, gain = "geometry", 2.0
-        points = hemisphere_points(rng, t.n)
-        metric = "pure_state_error"
-    else:
-        raise ValueError(f"unknown network experiment kind {kind!r}")
-
+    points = draw(np.random.default_rng([seed, 0]), t.n)
     traj = simulate_network(kets_from_points(points), t, protocol, cfg, gain=gain)
     settle = settling_time(traj, SettlingSpec(threshold=1e-2, metric=metric))
     err_settle = settling_time(
         traj, SettlingSpec(threshold=1e-2, metric="pure_state_error")
     )
-
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{kind.replace('-', '_')}.csv")
-    traj.to_csv(csv_path)
     summary = {
         "kind": kind,
         "seed": seed,
@@ -197,12 +207,11 @@ def run_network_experiment(
         "final_V": float(traj.metrics["V"][-1]),
         "final_pure_state_error": float(traj.metrics["pure_state_error"][-1]),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    write_manifest(os.path.join(out_dir, "manifest.json"), {
+    write_run(out_dir, {
         "experiment": kind, "seed": seed, "dt": dt, "t_max": t_max,
         "gain": gain, "protocol": protocol, "n_qubits": t.n,
-    })
+    }, tables={f"{kind.replace('-', '_')}.csv": traj},
+              docs={"summary.json": summary})
     return summary
 
 
@@ -214,14 +223,11 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
     only on the master seed and the cell coordinates, so cells can run
     in any order, grouping or in parallel.
     """
-    if kind == "chain":
-        stream, t, draw = 0, chain(size), sphere_points
-        protocol, gain, metric, t_max = "chain", 1.0, "V", 10.0 + 2.0 * size * size
-    elif kind == "grid":
-        stream, t, draw = 1, grid(size), hemisphere_points
-        protocol, gain, metric, t_max = "geometry", 2.0, "pure_state_error", 300.0
-    else:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown scaling kind {kind!r}")
+    stream, build, draw, protocol, gain, metric = FAMILIES[kind]
+    t = build(size)
+    t_max = 10.0 + 2.0 * size * size if kind == "chain" else 300.0
     kets = np.array([
         kets_from_points(draw(
             np.random.default_rng([master_seed, stream, size, s]), t.n))
@@ -260,17 +266,14 @@ def run_scaling_sweep(
             for s, v in enumerate(vals):
                 rows.append((kind, size, n_qubits, s, v))
 
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "scaling.csv")
-    _write_csv(path, ["kind", "size", "n_qubits", "seed", "settling_time"], rows)
-    with open(os.path.join(out_dir, "medians.json"), "w") as fh:
-        json.dump(medians, fh, indent=2, sort_keys=True)
-    write_manifest(os.path.join(out_dir, "manifest.json"), {
+    write_run(out_dir, {
         "experiment": "scaling-sweep", "chain_sizes": list(chain_sizes),
         "grid_sides": list(grid_sides), "n_seeds": n_seeds,
         "master_seed": master_seed, "dt": dt,
-    })
-    return {"csv": path, "medians": medians}
+    }, tables={"scaling.csv": (["kind", "size", "n_qubits", "seed", "settling_time"],
+                               rows)},
+              docs={"medians.json": medians})
+    return {"csv": os.path.join(out_dir, "scaling.csv"), "medians": medians}
 
 
 def _product_state(points: np.ndarray) -> np.ndarray:
@@ -369,9 +372,8 @@ def run_qcme_compare(
     if not math.isfinite(cap):
         raise ValueError(f"cap must be finite, got {cap}")
     cells = qcme_compare_cells(range(n_seeds), master_seed, cap, dt, t_max)
-    os.makedirs(out_dir, exist_ok=True)
-
     first = cells[0]["series"]
+    tables = {}
     for name, keys in (("chain", ("chain_eq", "chain_geo", "chain_qcme")),
                        ("full", ("full_geo", "full_qcme"))):
         # series may stop early; pad each with its last value on the
@@ -379,8 +381,7 @@ def run_qcme_compare(
         ts = max((first[k][0] for k in keys), key=len)
         cols = [first[k][1] for k in keys]
         rows = [[t] + [d[min(i, d.size - 1)] for d in cols] for i, t in enumerate(ts)]
-        _write_csv(os.path.join(out_dir, f"qcme_compare_{name}.csv"),
-                   ["time"] + list(keys), rows)
+        tables[f"qcme_compare_{name}.csv"] = (["time"] + list(keys), rows)
 
     # An unsettled seed (math.inf) counts as later than t_max in its median;
     # JSON gets null for it and for a median that is itself unsettled.
@@ -389,12 +390,10 @@ def run_qcme_compare(
     settling = {k: [_finite_or_null(t) for t in v] for k, v in settling.items()}
     summary = {"settling": settling, "medians": medians,
                "n_seeds": n_seeds, "cap": cap}
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    write_manifest(os.path.join(out_dir, "manifest.json"), {
+    write_run(out_dir, {
         "experiment": "qcme-compare", "master_seed": master_seed,
         "n_seeds": n_seeds, "cap": cap, "dt": dt, "t_max": t_max,
-    })
+    }, tables=tables, docs={"summary.json": summary})
     return summary
 
 
@@ -456,17 +455,13 @@ def run_coherence_protect(
 
     cols = {f"{q}_{arm}_{stat}": arms[arm][f"{q}_{stat}"]
             for q in ("cxy", "dist") for arm in ("fb", "nofb") for stat in ("mean", "se")}
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "coherence_protect.csv")
-    _write_csv(csv_path, ["time", *cols], np.column_stack([times, *cols.values()]))
-
     # deterministic reference for the feedback-off arm
     rho_lind = simulate_lindblad(rho_i, np.zeros(3), p, cfg)
 
     # a run that ends before t = 0.5 has no value at t = 0.5: null in JSON
     half = int(np.argmin(np.abs(times - 0.5))) if t_max >= 0.5 else None
     summary = {
-        "csv": csv_path,
+        "csv": os.path.join(out_dir, "coherence_protect.csv"),
         "n_traj": n_traj,
         "cxy_fb_at_half": None,
         "cxy_nofb_at_half": None,
@@ -482,19 +477,15 @@ def run_coherence_protect(
         summary["cxy_nofb_at_half"] = float(arms["nofb"]["cxy_mean"][half])
         summary["pooled_se_at_half"] = float(math.hypot(arms["fb"]["cxy_se"][half],
                                                         arms["nofb"]["cxy_se"][half]))
-    write_manifest(os.path.join(out_dir, "manifest.json"), {
+    write_run(out_dir, {
         "experiment": "coherence-protect", "master_seed": master_seed,
         "n_traj": n_traj, "dt": dt, "t_max": t_max,
         "gamma_r": p.gamma_r, "gamma_phi": p.gamma_phi,
         "gamma_z": p.gamma_z, "eta_z": p.eta_z,
-    })
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    summary["finals"] = finals
-    summary["lindblad_final"] = rho_lind
-    summary["arms"] = arms
-    summary["times"] = times
-    return summary
+    }, tables={"coherence_protect.csv": (["time", *cols],
+                                         np.column_stack([times, *cols.values()]))},
+              docs={"summary.json": summary})
+    return {**summary, "finals": finals, "lindblad_final": rho_lind}
 
 
 def run_sphere_twin_check(
@@ -517,11 +508,8 @@ def run_sphere_twin_check(
     sphere = simulate_sphere(pts, t, cfg)
     devs = [float(np.max(np.abs(tq.bloch() - tc.samples)))
             for tq, tc in zip(quantum, sphere)]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "twin_check.csv"),
-               ["seed", "max_deviation"], enumerate(devs))
-    write_manifest(os.path.join(out_dir, "manifest.json"), {
+    write_run(out_dir, {
         "experiment": "sphere-twin-check", "master_seed": master_seed,
         "n_seeds": n_seeds, "dt": dt, "t_max": t_max,
-    })
+    }, tables={"twin_check.csv": (["seed", "max_deviation"], enumerate(devs))})
     return {"max_deviation": max(devs)}

@@ -236,32 +236,42 @@ class TestCliInterface:
         assert np.isfinite(rows).all()
 
 
+# each run's argv and the files it writes
 TINY_RUNS = [
-    ["min-time-heatmap", "--resolution", "8", "--dt", "2e-2"],
-    ["chain-run", "--t-max", "0.5", "--seed", "4"],
-    ["grid-run", "--t-max", "0.5", "--seed", "4"],
-    ["scaling-sweep", "--chain-sizes", "3", "--grid-sides", "2", "--n-seeds", "3",
-     "--dt", "2e-2", "--seed", "4"],
-    ["qcme-compare", "--n-seeds", "2", "--dt", "2e-2", "--t-max", "2", "--seed", "4"],
-    ["coherence-protect", "--n-traj", "2", "--t-max", "0.02", "--seed", "4"],
-    ["sphere-twin-check", "--n-seeds", "2", "--t-max", "0.5", "--seed", "4"],
+    (["min-time-heatmap", "--resolution", "8", "--dt", "2e-2"],
+     {"min_time_heatmap.csv", "manifest.json"}),
+    (["chain-run", "--t-max", "0.5", "--seed", "4"],
+     {"chain_run.csv", "summary.json", "manifest.json"}),
+    (["grid-run", "--t-max", "0.5", "--seed", "4"],
+     {"grid_run.csv", "summary.json", "manifest.json"}),
+    (["scaling-sweep", "--chain-sizes", "3", "--grid-sides", "2", "--n-seeds", "3",
+      "--dt", "2e-2", "--seed", "4"],
+     {"scaling.csv", "medians.json", "manifest.json"}),
+    (["qcme-compare", "--n-seeds", "2", "--dt", "2e-2", "--t-max", "2", "--seed", "4"],
+     {"qcme_compare_chain.csv", "qcme_compare_full.csv", "summary.json",
+      "manifest.json"}),
+    (["coherence-protect", "--n-traj", "2", "--t-max", "0.02", "--seed", "4"],
+     {"coherence_protect.csv", "summary.json", "manifest.json"}),
+    (["sphere-twin-check", "--n-seeds", "2", "--t-max", "0.5", "--seed", "4"],
+     {"twin_check.csv", "manifest.json"}),
 ]
 
 
-@pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
-def test_same_seed_same_bytes(tmp_path, capsys, argv):
-    """Every file a run writes, and its stdout, repeat byte for byte. Both
-    runs use one --out path, since a summary may record its CSV's path."""
+@pytest.mark.parametrize("argv, names", TINY_RUNS, ids=[run[0][0] for run in TINY_RUNS])
+def test_same_seed_same_bytes(tmp_path, capsys, argv, names):
+    """A run writes exactly its expected files, and every file, and its
+    stdout, repeat byte for byte. Both runs use one --out path, since a
+    summary may record its CSV's path."""
     out = tmp_path / "run"
 
     def run_once() -> dict:
         shutil.rmtree(out, ignore_errors=True)
         assert main([argv[0], "--out", str(out), *argv[1:]]) == 0
-        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert {p.name for p in out.iterdir()} == names
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
         return {"stdout": capsys.readouterr().out, **files}
 
     first = run_once()
-    assert len(first) >= 3  # stdout, at least one table and the manifest
     assert run_once() == first
 
 
@@ -371,6 +381,20 @@ class TestInputValidation:
         assert err.count("\n") == 1
         doc = json.loads(err)
         assert doc["type"] == "ValueError" and "GiB of samples" in doc["error"]
+        assert not out.exists()
+
+    def test_run_failing_after_its_ensemble_leaves_no_output(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the Lindblad reference runs after the SME ensemble; its failure
+        # must not leave the ensemble's table behind
+        def fail(*args, **kwargs):
+            raise RuntimeError("no reference")
+
+        monkeypatch.setattr(experiments, "simulate_lindblad", fail)
+        out = tmp_path / "coh"
+        assert main(["coherence-protect", "--out", str(out), "--n-traj", "2",
+                     "--t-max", "0.02"]) == 1
+        assert json.loads(capsys.readouterr().err)["type"] == "RuntimeError"
         assert not out.exists()
 
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
@@ -106,12 +106,24 @@ class TestHemisphere:
 
 
 def lp_open_hemisphere(u: np.ndarray) -> bool:
-    """Reference decision: the largest margin t with u_i . c >= t over the
-    box |c_k| <= 1 is strictly positive."""
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
-                  A_ub=np.hstack([-u, np.ones((len(u), 1))]), b_ub=np.zeros(len(u)),
-                  bounds=[(-1, 1)] * 3 + [(0, 2)], method="highs")
-    return bool(res.success and -res.fun > 1e-9)
+    """Reference decision: maximize the margin t with u_i . c >= t over the
+    box |c_k| <= 1, then judge the solver's own c at unit scale, since the
+    LP optimum may break a row by up to the feasibility tolerance.
+
+    HiGHS runs at tolerances of 1e-10 first. On some near-degenerate sets
+    it then calls this always-feasible LP infeasible; only then is it run
+    again at its default tolerances of 1e-7. A failed solve is no answer.
+    """
+    for tol in (1e-10, 1e-7):
+        res = linprog(c=[0.0, 0.0, 0.0, -1.0],
+                      A_ub=np.hstack([-u, np.ones((len(u), 1))]), b_ub=np.zeros(len(u)),
+                      bounds=[(-1, 1)] * 3 + [(0, 2)], method="highs",
+                      options={"primal_feasibility_tolerance": tol,
+                               "dual_feasibility_tolerance": tol})
+        if res.success:
+            c = res.x[:3]
+            return bool((u @ c).min() > 1e-9 * np.linalg.norm(c))
+    raise AssertionError(f"no LP solution: {res.message}")
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -152,6 +164,16 @@ def point_stacks(draw):
 class TestHemisphereMatchesLp:
     @settings(max_examples=150, deadline=None)
     @given(point_stacks())
+    # inside, with an exact margin of 1.69e-8 for its certificate; HiGHS at
+    # its default tolerances returns a c whose own margin is -1.69e-8
+    @example(np.array([[
+        [0.8111302045687134, 0.2393150415371588, 0.5336629105815627],
+        [-0.8319775073093811, -0.15736399979335716, -0.5320244344955457],
+        [0.8303627530540998, -0.33507332291167585, 0.44522305265264933],
+        [0.7505709047107532, 0.4011013806743324, 0.52512950728637],
+        [-0.2287598335164958, -0.9260594853127337, -0.30013791535195905],
+        [-0.166610075565514, -0.9493258535477652, -0.26649860507301143],
+        [-0.8008059381993557, -0.2727294601112022, -0.5332246158347362]]]))
     def test_equals_lp_oracle_single_and_batched(self, stack):
         expected = [lp_open_hemisphere(u) for u in stack]
         single = [in_open_hemisphere(u) for u in stack]
