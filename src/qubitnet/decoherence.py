@@ -111,8 +111,7 @@ def simulate_lindblad(rho0, axis, p: NoiseParams, cfg: IntegratorConfig) -> np.n
     map R = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 on vec(rho), and
     n_steps of them are R to the n-th power.
     """
-    ax = np.zeros(3) if axis is None else axis
-    hl = cfg.dt * lindblad_rhs(np.eye(4).reshape(4, 2, 2), ax, p).reshape(4, 4).T
+    hl = cfg.dt * lindblad_rhs(np.eye(4).reshape(4, 2, 2), axis, p).reshape(4, 4).T
     step = sum(np.linalg.matrix_power(hl, n) / math.factorial(n) for n in range(5))
     return (np.linalg.matrix_power(step, cfg.n_steps) @ np.ravel(rho0)).reshape(2, 2)
 

@@ -192,6 +192,9 @@ def in_open_hemisphere(u: np.ndarray) -> bool | np.ndarray:
     u of shape (N, 3) gives a bool, a (B, N, 3) stack a (B,) bool array.
     Trial directions (+-x, +-y, +-z, each row and the normalized row mean)
     settle most members in one batch; _hemisphere_exact decides the rest.
+    A set with a nearly antipodal pair can read False while some c has a
+    margin up to a few 1e-8 above 1e-9: the pair candidate u_i + u_k
+    cancels there and keeps about 7 digits.
     """
     u = np.asarray(u, dtype=float)
     stack = u.reshape((-1,) + u.shape[-2:])
@@ -416,7 +419,6 @@ def simulate_sphere(
     x0,
     t: Topology,
     cfg: IntegratorConfig,
-    gain: float = 1.0,
 ) -> Trajectory | list[Trajectory]:
     """Classical twin of the quantum geometric protocol on the 2-sphere.
 
@@ -434,7 +436,7 @@ def simulate_sphere(
         raise ValueError("initial vectors must be unit")
 
     def step(x):
-        return _rotate_vectors(x, gain * geometry_axes(x, t), cfg.dt)
+        return _rotate_vectors(x, geometry_axes(x, t), cfg.dt)
 
     series = {"max_angle": _max_pairwise_angle, "pure_state_error": _pairwise_error}
     return _integrate(x, step, series, cfg)

@@ -56,15 +56,10 @@ def grid(side: int) -> Topology:
     """side x side 4-neighbor lattice, unit weights."""
     if side < 2:
         raise ValueError(f"grid needs side >= 2, got {side}")
-    n = side * side
-    w = np.zeros((n, n))
-    for r in range(side):
-        for c in range(side):
-            k = r * side + c
-            if c + 1 < side:
-                w[k, k + 1] = w[k + 1, k] = 1.0
-            if r + 1 < side:
-                w[k, k + side] = w[k + side, k] = 1.0
+    k = np.arange(side * side).reshape(side, side)  # node of row r, column c
+    w = np.zeros((k.size, k.size))
+    for a, b in ((k[:, :-1], k[:, 1:]), (k[:-1], k[1:])):  # right, down neighbors
+        w[a, b] = w[b, a] = 1.0
     return Topology(w)
 
 
@@ -131,10 +126,7 @@ def is_connected(t: Topology) -> bool:
 
 def is_chain(t: Topology) -> bool:
     """True iff the edges are exactly the consecutive pairs (i, i+1)."""
-    mask = t.weights > 0
-    expected = np.zeros_like(mask)
-    idx = np.arange(t.n - 1)
-    expected[idx, idx + 1] = True
-    expected[idx + 1, idx] = True
-    return bool(np.array_equal(mask, expected))
+    if t.n < 2:  # no pairs, and a zero diagonal: no edges either
+        return True
+    return bool(np.array_equal(t.weights > 0, chain(t.n).weights > 0))
 

@@ -12,7 +12,7 @@ import pytest
 
 import qubitnet
 from qubitnet import experiments
-from qubitnet.cli import main
+from qubitnet.cli import build_parser, main
 
 
 def finite_json(text: str):
@@ -273,6 +273,43 @@ def test_same_seed_same_bytes(tmp_path, capsys, argv, names):
 
     first = run_once()
     assert run_once() == first
+
+
+SUBCOMMANDS = [run[0][0] for run in TINY_RUNS]
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv, message", [
+        (["chain-run", "--out", "{out}", "--dt", "abc"],
+         "argument --dt: invalid float value: 'abc'"),
+        (["scaling-sweep", "--out", "{out}", "--n-seeds", "x"],
+         "argument --n-seeds: invalid int value: 'x'"),
+        (["chain-run"], "the following arguments are required: --out"),
+        (["ring-run", "--out", "{out}"], "argument experiment: invalid choice: 'ring-run'"),
+        ([], "the following arguments are required: experiment"),
+    ], ids=["bad-float", "bad-int", "no-out", "unknown-subcommand", "no-subcommand"])
+    def test_parse_error_is_the_json_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([a.format(out=out) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        doc = json.loads(captured.err)
+        assert doc["type"] == "ArgumentError" and message in doc["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_help_exits_zero(self, capsys, sub):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: qubitnet {sub}")
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_left_out_options_stay_out(self, sub):
+        """The runner's default applies: the parser holds none of its own."""
+        args = build_parser().parse_args([sub, "--out", "o"])
+        assert vars(args) == {"experiment": sub, "out": "o"}
 
 
 class TestInputValidation:

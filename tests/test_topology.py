@@ -66,6 +66,32 @@ class TestFactories:
         assert len(t.edges()) == 4
         assert not is_chain(t)
 
+    @pytest.mark.parametrize("side", range(2, 8))
+    def test_grid_matches_lattice_loop(self, side):
+        n = side * side
+        w = np.zeros((n, n))
+        for r in range(side):
+            for c in range(side):
+                k = r * side + c
+                if c + 1 < side:
+                    w[k, k + 1] = w[k + 1, k] = 1.0
+                if r + 1 < side:
+                    w[k, k + side] = w[k + side, k] = 1.0
+        assert np.array_equal(grid(side).weights, w)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_is_chain_matches_consecutive_pairs(self, n):
+        """Every graph on n nodes, with weights 0 or 0.5: a chain iff its
+        edges are exactly the pairs (i, i + 1)."""
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(2 ** len(pairs)):
+            w = np.zeros((n, n))
+            for b, (i, j) in enumerate(pairs):
+                w[i, j] = w[j, i] = 0.5 * (bits >> b & 1)
+            edges = {p for b, p in enumerate(pairs) if bits >> b & 1}
+            expected = edges == {(i, i + 1) for i in range(n - 1)}
+            assert is_chain(Topology(w)) is expected, (n, sorted(edges))
+
 
 class TestEdgeList:
     def test_parses_one_based_with_comments(self):
