@@ -31,22 +31,21 @@ def build_parser() -> argparse.ArgumentParser:
                      "experiments for qubit networks")
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    def add(name: str, help: str, seed: str | None = "master_seed"):
-        """A subcommand; seed is the runner parameter --seed sets, None for none."""
+    def add(name: str, help: str, seeded: bool = True):
+        """A subcommand; --seed sets its runner's master_seed where seeded."""
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.add_argument("--out", required=True,
-                       help=None if seed is None else "output directory")
-        if seed is not None:
-            p.add_argument("--seed", type=int, dest=seed, metavar="SEED",
+        p.add_argument("--out", required=True, help="output directory")
+        if seeded:
+            p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
                            help="master seed")
         return p
 
-    p = add("min-time-heatmap", "settling vs minimum-time gap over initial angles", None)
+    p = add("min-time-heatmap", "settling vs minimum-time gap over initial angles", False)
     p.add_argument("--resolution", type=int)
     p.add_argument("--dt", type=float)
 
     for kind in ("chain-run", "grid-run"):
-        p = add(kind, f"single consensus run ({kind})", "seed")
+        p = add(kind, f"single consensus run ({kind})")
         p.add_argument("--dt", type=float)
         p.add_argument("--t-max", type=float)
         p.add_argument("--topology", help="edge-list file (1-based 'i j w' lines)")

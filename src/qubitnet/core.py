@@ -46,12 +46,12 @@ class MixedDecomposition(NamedTuple):
     pure_direction: np.ndarray
 
 
-def _as_ket(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(2)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > ATOL_MAPPING:
-        raise ValueError(f"ket is not normalized: |psi| = {norm}")
-    return psi
+def as_unit(v, name: str) -> np.ndarray:
+    """v as a float 3-vector, checked to be of unit length."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    if abs(np.linalg.norm(v) - 1.0) > ATOL_MAPPING:
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
+    return v
 
 
 def _as_density(rho) -> np.ndarray:
@@ -81,21 +81,9 @@ def ket_from_angles(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def bloch_from_ket(psi) -> np.ndarray:
-    """Pauli expectation vector (<sx>, <sy>, <sz>) of a normalized ket."""
-    psi = _as_ket(psi)
-    a, b = psi
-    ab = a.conjugate() * b
-    return np.array(
-        [2.0 * ab.real, 2.0 * ab.imag, (abs(a) ** 2 - abs(b) ** 2)]
-    )
-
-
 def ket_from_bloch(u) -> np.ndarray:
     """Inverse Bloch map for a unit vector, phase fixed by the half-angle convention."""
-    u = np.asarray(u, dtype=float).reshape(3)
-    if abs(np.linalg.norm(u) - 1.0) > ATOL_MAPPING:
-        raise ValueError(f"Bloch vector is not unit: |u| = {np.linalg.norm(u)}")
+    u = as_unit(u, "u")
     theta = math.acos(min(1.0, max(-1.0, u[2])))
     phi = math.atan2(u[1], u[0]) % (2.0 * math.pi)
     if phi >= 2.0 * math.pi:  # fold rounding at the branch cut
@@ -104,11 +92,14 @@ def ket_from_bloch(u) -> np.ndarray:
 
 
 def density_from_bloch(p) -> np.ndarray:
-    """Density matrix (I + p . sigma) / 2 for a point p in the closed unit ball."""
-    p = np.asarray(p, dtype=float).reshape(3)
-    if np.linalg.norm(p) > 1.0 + ATOL_ALGEBRA:
-        raise ValueError(f"Bloch point outside the unit ball: |p| = {np.linalg.norm(p)}")
-    return 0.5 * (I2 + np.einsum("i,ijk->jk", p, PAULI))
+    """(I + p . sigma) / 2, shape (..., 2, 2), of (..., 3) points in the closed unit ball."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (3,):
+        raise ValueError(f"Bloch points need a last axis of length 3, got shape {p.shape}")
+    r = np.linalg.norm(p, axis=-1)
+    if np.any(r > 1.0 + ATOL_ALGEBRA):
+        raise ValueError(f"Bloch point outside the unit ball: |p| = {np.max(r)}")
+    return 0.5 * (I2 + np.einsum("...i,ijk->...jk", p, PAULI))
 
 
 def bloch_from_density(rho) -> np.ndarray:
@@ -136,9 +127,7 @@ def decompose(rho) -> MixedDecomposition:
 
 def su2_from_axis_angle(n, theta: float) -> np.ndarray:
     """exp(-i theta/2 n.sigma) for a unit axis n: rotation of the spin about n."""
-    n = np.asarray(n, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > ATOL_MAPPING:
-        raise ValueError(f"rotation axis is not unit: |n| = {np.linalg.norm(n)}")
+    n = as_unit(n, "n")
     ndots = np.einsum("i,ijk->jk", n, PAULI)
     return math.cos(theta / 2.0) * I2 - 1.0j * math.sin(theta / 2.0) * ndots
 

@@ -373,6 +373,8 @@ def simulate_network(
     dt = cfg.dt
     if protocol == "chain":
         check(is_chain, "chain protocol requires a chain topology")
+        check(lambda tb: np.all(tb.weights[tb.weights > 0] == 1.0),
+              "chain protocol requires unit edge weights; chain_axes takes none")
 
         def step(x):
             return _step_kets(x, gain * chain_axes(x), dt)

@@ -52,17 +52,22 @@ def hemisphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return v
 
 
-def cap_points(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
-    """n unit vectors within angle alpha of a random center direction."""
-    c = rng.normal(size=3)
-    c /= np.linalg.norm(c)
+def accepted_points(rng: np.random.Generator, n: int, accept) -> np.ndarray:
+    """The first n unit vectors v with accept(v), one rng.normal(size=3) draw per trial."""
     out: list[np.ndarray] = []
     while len(out) < n:
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        if math.acos(min(1.0, max(-1.0, float(v @ c)))) < alpha:
+        if accept(v):
             out.append(v)
     return np.array(out)
+
+
+def cap_points(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
+    """n unit vectors within angle alpha of a random center direction."""
+    c = accepted_points(rng, 1, lambda v: True)[0]  # the center is the first draw
+    return accepted_points(
+        rng, n, lambda v: math.acos(min(1.0, max(-1.0, float(v @ c)))) < alpha)
 
 
 def kets_from_points(points: np.ndarray) -> np.ndarray:
@@ -144,16 +149,15 @@ def run_min_time_heatmap(
     for i in range(0, len(cells), HEATMAP_BATCH):
         trajs = simulate_network(kets[i:i + HEATMAP_BATCH], chain(2), "chain", cfg)
         t1s += [settling_time(traj, spec) for traj in trajs]
+
+    def bloch(theta: float, phi: float) -> np.ndarray:
+        return np.array([math.sin(theta) * math.cos(phi),
+                         math.sin(theta) * math.sin(phi), math.cos(theta)])
+
     rows = []
     max_diff = 0.0
     for (theta, dphi, phi1), t1 in zip(cells, t1s):
-        s1 = np.array([math.sin(theta) * math.cos(phi1),
-                       math.sin(theta) * math.sin(phi1),
-                       math.cos(theta)])
-        s2 = np.array([math.sin(theta) * math.cos(phi1 + dphi),
-                       math.sin(theta) * math.sin(phi1 + dphi),
-                       math.cos(theta)])
-        t_min = min_time(s1, s2)
+        t_min = min_time(bloch(theta, phi1), bloch(theta, phi1 + dphi))
         if t1 is None:
             raise RuntimeError(
                 f"cell theta={theta:.4f} dphi={dphi:.4f} did not settle"
@@ -174,7 +178,7 @@ def run_min_time_heatmap(
 def run_network_experiment(
     kind: str,
     out_dir: str,
-    seed: int = 0,
+    master_seed: int = 0,
     dt: float = 1e-3,
     t_max: float = 50.0,
     topology: Topology | None = None,
@@ -182,16 +186,16 @@ def run_network_experiment(
     """Single seeded consensus run with trajectory CSV and summary JSON.
 
     kind "chain-run" is a chain of 5, kind "grid-run" a 3 x 3 grid, each
-    set up as its entry in FAMILIES.
+    set up as its entry in FAMILIES. A given topology replaces that
+    default, and the manifest records its edges as 1-based [i, j, w].
     """
     family = kind.removesuffix("-run")
     if family == kind or family not in FAMILIES:
         raise ValueError(f"unknown network experiment kind {kind!r}")
     _, build, draw, protocol, gain, metric = FAMILIES[family]
     t = topology if topology is not None else build(5 if family == "chain" else 3)
-    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=5,
-                           stop_threshold=None)
-    points = draw(np.random.default_rng([seed, 0]), t.n)
+    cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=5)
+    points = draw(np.random.default_rng([master_seed, 0]), t.n)
     traj = simulate_network(kets_from_points(points), t, protocol, cfg, gain=gain)
     settle = settling_time(traj, SettlingSpec(threshold=1e-2, metric=metric))
     err_settle = settling_time(
@@ -199,7 +203,7 @@ def run_network_experiment(
     )
     summary = {
         "kind": kind,
-        "seed": seed,
+        "seed": master_seed,
         "n_qubits": t.n,
         "settling_metric": metric,
         "settling_time": settle,
@@ -207,10 +211,13 @@ def run_network_experiment(
         "final_V": float(traj.metrics["V"][-1]),
         "final_pure_state_error": float(traj.metrics["pure_state_error"][-1]),
     }
-    write_run(out_dir, {
-        "experiment": kind, "seed": seed, "dt": dt, "t_max": t_max,
+    manifest = {
+        "experiment": kind, "seed": master_seed, "dt": dt, "t_max": t_max,
         "gain": gain, "protocol": protocol, "n_qubits": t.n,
-    }, tables={f"{kind.replace('-', '_')}.csv": traj},
+    }
+    if topology is not None:
+        manifest["edges"] = [[i + 1, j + 1, w] for i, j, w in t.edges()]
+    write_run(out_dir, manifest, tables={f"{kind.replace('-', '_')}.csv": traj},
               docs={"summary.json": summary})
     return summary
 
@@ -278,10 +285,7 @@ def run_scaling_sweep(
 
 def _product_state(points: np.ndarray) -> np.ndarray:
     """Product density matrices of (..., N, 3) Bloch points, (..., 2^N, 2^N)."""
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    # (I + p . sigma) / 2 of every qubit, entry for entry as density_from_bloch
-    q = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
-    q = q.reshape(points.shape[:-1] + (2, 2))
+    q = density_from_bloch(points)
     rho = q[..., 0, :, :]
     for k in range(1, points.shape[-2]):
         d = rho.shape[-1]
@@ -397,17 +401,6 @@ def run_qcme_compare(
     return summary
 
 
-def _protected_pair_initial(rng: np.random.Generator) -> np.ndarray:
-    """Two pure initial states with a safely nonzero planar component."""
-    pts = []
-    while len(pts) < 2:
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        if math.hypot(v[0], v[1]) > 0.3:
-            pts.append(v)
-    return np.array(pts)
-
-
 def run_coherence_protect(
     out_dir: str,
     master_seed: int = 0,
@@ -426,10 +419,9 @@ def run_coherence_protect(
         raise ValueError("need at least 2 trajectories per arm for a standard error")
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=50)
     p = params if params is not None else NoiseParams()
-    rng = np.random.default_rng([master_seed, 3])
-    pts = _protected_pair_initial(rng)
-    rho_i = density_from_bloch(pts[0])
-    rho_j = density_from_bloch(pts[1])
+    # two pure initial states with a safely nonzero planar component
+    rho_i, rho_j = density_from_bloch(accepted_points(
+        np.random.default_rng([master_seed, 3]), 2, lambda v: math.hypot(v[0], v[1]) > 0.3))
 
     # both arms, feedback on then off, as one batch of 2 * n_traj pairs
     arm_flags = (("fb", True), ("nofb", False))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import MINUS_I_PAULI_REAL, row_cross
+from .core import MINUS_I_PAULI_REAL, as_unit, row_cross
 from .topology import Topology
 
 DEGENERACY_TOL = 1e-9
@@ -26,17 +26,10 @@ class AntiparallelStatesError(ValueError):
     """Antipodal Bloch vectors: the rotation axis is undefined."""
 
 
-def _check_unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(3)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
-    return v
-
-
 def two_qubit_axis(s_i, s_j) -> np.ndarray:
     """Unit rotation axis normal to the plane of two distinct Bloch vectors."""
-    s_i = _check_unit(s_i, "s_i")
-    s_j = _check_unit(s_j, "s_j")
+    s_i = as_unit(s_i, "s_i")
+    s_j = as_unit(s_j, "s_j")
     cross = np.cross(s_i, s_j)
     norm = np.linalg.norm(cross)
     if norm <= DEGENERACY_TOL:
@@ -48,8 +41,8 @@ def two_qubit_axis(s_i, s_j) -> np.ndarray:
 
 def min_time(s_i, s_j) -> float:
     """Minimum meeting time arccos(s_i . s_j) / 2 of the single-rotation plan."""
-    s_i = _check_unit(s_i, "s_i")
-    s_j = _check_unit(s_j, "s_j")
+    s_i = as_unit(s_i, "s_i")
+    s_j = as_unit(s_j, "s_j")
     dot = min(1.0, max(-1.0, float(s_i @ s_j)))
     return 0.5 * math.acos(dot)
 

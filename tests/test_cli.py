@@ -13,6 +13,7 @@ import pytest
 import qubitnet
 from qubitnet import experiments
 from qubitnet.cli import build_parser, main
+from qubitnet.topology import from_edge_list
 
 
 def finite_json(text: str):
@@ -60,7 +61,7 @@ class TestHeatmapRunner:
 class TestNetworkRunner:
     def test_chain_run_summary(self, tmp_path):
         out = tmp_path / "chain"
-        s = experiments.run_network_experiment("chain-run", str(out), seed=1)
+        s = experiments.run_network_experiment("chain-run", str(out), master_seed=1)
         assert s["settling_time"] is not None
         assert s["final_pure_state_error"] < 1e-2
         assert (out / "chain_run.csv").exists()
@@ -68,7 +69,7 @@ class TestNetworkRunner:
 
     def test_grid_run_summary(self, tmp_path):
         out = tmp_path / "grid"
-        s = experiments.run_network_experiment("grid-run", str(out), seed=1)
+        s = experiments.run_network_experiment("grid-run", str(out), master_seed=1)
         assert s["settling_time"] is not None
         assert s["final_pure_state_error"] < 1e-2
 
@@ -234,6 +235,63 @@ class TestCliInterface:
                 assert doc[key] is None
         rows = np.loadtxt(out / "coherence_protect.csv", delimiter=",", skiprows=1)
         assert np.isfinite(rows).all()
+
+
+class TestTopologyFile:
+    def _run(self, tmp_path, capsys, name, argv) -> dict:
+        """main on argv with --out tmp_path/name; stdout and every file's bytes."""
+        out = tmp_path / name
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 0
+        return {"stdout": capsys.readouterr().out.replace(str(out), "OUT"),
+                **{p.name: p.read_bytes() for p in out.iterdir()}}
+
+    def test_weighted_chain_is_rejected(self, tmp_path, capsys):
+        edges = tmp_path / "weighted.edges"
+        edges.write_text("1 2 5.0\n2 3 0.25\n3 4 1\n4 5 1\n")
+        out = tmp_path / "c"
+        assert main(["chain-run", "--out", str(out), "--topology", str(edges),
+                     "--t-max", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        doc = json.loads(captured.err)
+        assert doc["type"] == "ValueError" and "unit edge weights" in doc["error"]
+        assert not out.exists()
+
+    def test_unit_chain_edge_list_gives_the_default_bytes(self, tmp_path, capsys):
+        edges = tmp_path / "chain.edges"
+        edges.write_text("1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
+        argv = ["chain-run", "--t-max", "0.5", "--seed", "2"]
+        default = self._run(tmp_path, capsys, "a", argv)
+        listed = self._run(tmp_path, capsys, "b", [*argv, "--topology", str(edges)])
+        assert set(listed) == set(default)
+        for name in set(default) - {"manifest.json"}:
+            assert listed[name] == default[name], name
+        manifest = json.loads(listed["manifest.json"])
+        assert manifest.pop("edges") == [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 5, 1.0]]
+        assert manifest == json.loads(default["manifest.json"])
+
+    @pytest.mark.parametrize("sub", ["chain-run", "grid-run"])
+    def test_default_topology_is_not_recorded(self, tmp_path, capsys, sub):
+        files = self._run(tmp_path, capsys, "a", [sub, "--t-max", "0.1"])
+        assert "edges" not in json.loads(files["manifest.json"])
+
+    def test_topology_run_reruns_from_its_manifest(self, tmp_path, capsys):
+        # a weighted 4-cycle, one edge given in reverse orientation
+        edges = tmp_path / "cycle.edges"
+        edges.write_text("1 2 0.5\n2 3 2.0\n3 4 1\n1 4 0.1\n")
+        first = self._run(tmp_path, capsys, "a", [
+            "grid-run", "--topology", str(edges), "--t-max", "1", "--seed", "3"])
+        manifest = json.loads(first["manifest.json"])
+        assert manifest["n_qubits"] == 4
+        assert manifest["edges"] == [[1, 2, 0.5], [1, 4, 0.1], [2, 3, 2.0], [3, 4, 1.0]]
+        rebuilt = tmp_path / "rebuilt.edges"
+        rebuilt.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in manifest["edges"]))
+        np.testing.assert_array_equal(from_edge_list(rebuilt.read_text()).weights,
+                                      from_edge_list(edges.read_text()).weights)
+        again = self._run(tmp_path, capsys, "b", [
+            "grid-run", "--topology", str(rebuilt), "--t-max", str(manifest["t_max"]),
+            "--dt", str(manifest["dt"]), "--seed", str(manifest["seed"])])
+        assert again == first
 
 
 # each run's argv and the files it writes

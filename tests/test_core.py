@@ -7,7 +7,6 @@ import pytest
 from qubitnet.core import (
     PAULI,
     bloch_from_density,
-    bloch_from_ket,
     conjugate,
     decompose,
     density_from_bloch,
@@ -17,6 +16,7 @@ from qubitnet.core import (
     so3_from_su2,
     su2_from_axis_angle,
 )
+from qubitnet.dynamics import _bloch_batch
 from qubitnet.protocols import chain_axes
 
 RNG = np.random.default_rng(42)
@@ -54,16 +54,18 @@ class TestKetFromAngles:
 
 
 class TestBlochMaps:
+    """The ket -> Bloch map is dynamics._bloch_batch, on one ket or a stack."""
+
     def test_known_kets(self):
-        np.testing.assert_allclose(bloch_from_ket([1, 0]), [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(_bloch_batch([1, 0]), [0, 0, 1], atol=1e-12)
         s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(bloch_from_ket([s, s]), [1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(bloch_from_ket([s, 1j * s]), [0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(_bloch_batch([s, s]), [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(_bloch_batch([s, 1j * s]), [0, 1, 0], atol=1e-12)
 
     def test_round_trip_angles(self):
         for theta in np.linspace(0.01, math.pi - 0.01, 7):
             for phi in np.linspace(0.0, 2 * math.pi, 9, endpoint=False):
-                u = bloch_from_ket(ket_from_angles(theta, phi))
+                u = _bloch_batch(ket_from_angles(theta, phi))
                 expected = [
                     math.sin(theta) * math.cos(phi),
                     math.sin(theta) * math.sin(phi),
@@ -81,7 +83,7 @@ class TestBlochMaps:
     def test_round_trip_random_unit(self):
         for _ in range(200):
             u = random_unit()
-            np.testing.assert_allclose(bloch_from_ket(ket_from_bloch(u)), u, atol=1e-9)
+            np.testing.assert_allclose(_bloch_batch(ket_from_bloch(u)), u, atol=1e-9)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -99,6 +101,27 @@ class TestDensity:
     def test_rejects_outside_ball(self):
         with pytest.raises(ValueError):
             density_from_bloch([0, 0, 1.1])
+
+    def test_stack_equals_per_point_calls(self):
+        p = RNG.normal(size=(4, 5, 3))
+        p *= RNG.uniform(0, 1, size=(4, 5, 1)) / np.linalg.norm(p, axis=-1, keepdims=True)
+        p[0, 0] = [0.0, 0.0, 1.0]  # on the sphere
+        p[1, 2] = [0.0, -0.0, 0.0]  # the centre, with a signed zero
+        got = density_from_bloch(p)
+        assert got.shape == (4, 5, 2, 2)
+        np.testing.assert_array_equal(
+            got, [[density_from_bloch(point) for point in row] for row in p])
+
+    def test_stack_with_one_row_outside_is_rejected(self):
+        p = np.zeros((3, 4, 3))
+        p[2, 1] = [0.6, 0.0, 0.81]  # |p| = 1.008
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            density_from_bloch(p)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 2), ()])
+    def test_rejects_a_last_axis_other_than_3(self, shape):
+        with pytest.raises(ValueError, match="last axis of length 3"):
+            density_from_bloch(np.zeros(shape))
 
     def test_invariants_random(self):
         for _ in range(100):
@@ -172,7 +195,7 @@ class TestSU2SO3:
         for _ in range(20):
             psi = random_ket()
             np.testing.assert_allclose(
-                bloch_from_ket(u @ psi), r @ bloch_from_ket(psi), atol=1e-12
+                _bloch_batch(u @ psi), r @ _bloch_batch(psi), atol=1e-12
             )
 
     def test_rotation_invariants(self):

@@ -15,7 +15,7 @@ from qubitnet.experiments import _write_csv
 from qubitnet.core import (
     MINUS_I_PAULI_REAL,
     PAULI,
-    bloch_from_ket,
+    bloch_from_density,
     density_from_bloch,
     ket_from_bloch,
     row_cross,
@@ -34,7 +34,7 @@ from qubitnet.dynamics import (
 )
 from qubitnet.metrics import lyapunov_decay_terms, quantum_average
 from qubitnet.protocols import _CROSS_FORMS, chain_axes, geometry_axes
-from qubitnet.topology import Topology, chain, complete, from_edge_list, grid
+from qubitnet.topology import Topology, chain, complete, from_edge_list, grid, is_chain
 
 RNG = np.random.default_rng(11)
 
@@ -75,7 +75,7 @@ class TestStepKet:
         # H = z.sigma turns the Bloch vector about z at rate 2
         psi = ket_from_bloch([1, 0, 0])
         psi = dynamics._step_kets(psi, np.array([0.0, 0.0, 1.0]), math.pi / 4)
-        np.testing.assert_allclose(bloch_from_ket(psi), [0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(dynamics._bloch_batch(psi), [0, 1, 0], atol=1e-12)
 
 
 class TestHemisphere:
@@ -354,7 +354,8 @@ class TestRealViewKernels:
         n = kets.shape[1]
         np.testing.assert_allclose(
             dynamics._bloch_batch(kets),
-            [[bloch_from_ket(psi) for psi in p] for p in kets], rtol=0, atol=1e-14)
+            [[bloch_from_density(np.outer(psi, psi.conj())) for psi in p] for p in kets],
+            rtol=0, atol=1e-14)
         # V = (N-1) - sum_i Re<psi_i|psi_{i+1}>, from the complex overlaps
         overlaps = np.einsum("bij,bij->b", kets[:, :-1].conj(), kets[:, 1:]).real
         np.testing.assert_allclose(dynamics._consecutive_v(kets), n - 1 - overlaps,
@@ -522,6 +523,20 @@ class TestSimulateNetwork:
         cfg = IntegratorConfig(t_max=0.1)
         with pytest.raises(ValueError):
             simulate_network(kets, complete(3), "chain", cfg)
+
+    @pytest.mark.parametrize("edges", ["1 2 5.0\n2 3 0.25\n3 4 1\n4 5 1\n",
+                                       "1 2 1\n2 3 1\n3 4 1\n4 5 0.5\n"])
+    def test_chain_rejects_non_unit_weights(self, edges):
+        # chain_axes takes no weights, so a weighted chain must not run as
+        # if it had unit weights
+        weighted = from_edge_list(edges)
+        assert is_chain(weighted)
+        kets = sphere_kets(RNG, 5)
+        cfg = IntegratorConfig(t_max=0.1)
+        with pytest.raises(ValueError, match="unit edge weights"):
+            simulate_network(kets, weighted, "chain", cfg)
+        with pytest.raises(ValueError, match=r"unit edge weights.* \(batch members \[1\]\)$"):
+            simulate_network(np.array([kets, kets]), [chain(5), weighted], "chain", cfg)
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):

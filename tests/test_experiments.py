@@ -1,10 +1,55 @@
+import math
+
 import numpy as np
+import pytest
 
 from qubitnet import experiments
 from qubitnet.core import density_from_bloch
 from qubitnet.dynamics import IntegratorConfig, simulate_network
 from qubitnet.metrics import quantum_average
 from qubitnet.topology import chain, complete
+
+
+def _cap_points_loop(rng, n, alpha):
+    """cap_points as a standalone rejection loop: the reference draw order."""
+    c = rng.normal(size=3)
+    c /= np.linalg.norm(c)
+    out = []
+    while len(out) < n:
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        if math.acos(min(1.0, max(-1.0, float(v @ c)))) < alpha:
+            out.append(v)
+    return np.array(out)
+
+
+def _protected_pair_loop(rng):
+    """coherence-protect's initial pair as a standalone rejection loop."""
+    pts = []
+    while len(pts) < 2:
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        if math.hypot(v[0], v[1]) > 0.3:
+            pts.append(v)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.8, 2.0, math.pi])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_cap_points_equals_its_rejection_loop(seed, alpha):
+    rng, oracle_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+    got = experiments.cap_points(rng, 5, alpha)
+    np.testing.assert_array_equal(got, _cap_points_loop(oracle_rng, 5, alpha))
+    # both consumed the same draws, rejected ones included
+    assert rng.normal() == oracle_rng.normal()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_accepted_points_equals_the_protected_pair_loop(seed):
+    rng, oracle_rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+    got = experiments.accepted_points(rng, 2, lambda v: math.hypot(v[0], v[1]) > 0.3)
+    np.testing.assert_array_equal(got, _protected_pair_loop(oracle_rng))
+    assert rng.normal() == oracle_rng.normal()
 
 
 def test_qcme_compare_cells_equal_one_seed_cells():

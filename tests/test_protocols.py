@@ -6,11 +6,11 @@ import pytest
 
 from qubitnet.core import (
     PAULI,
-    bloch_from_ket,
     ket_from_angles,
     ket_from_bloch,
     su2_from_axis_angle,
 )
+from qubitnet.dynamics import _bloch_batch
 from qubitnet.protocols import (
     AntiparallelStatesError,
     ParallelStatesError,
@@ -81,7 +81,7 @@ class TestMinTime:
             def evolve(u, ham, t):
                 norm = np.linalg.norm(ham)
                 rot = su2_from_axis_angle(ham / norm, 2 * norm * t)
-                return bloch_from_ket(rot @ ket_from_bloch(u))
+                return _bloch_batch(rot @ ket_from_bloch(u))
 
             pa = evolve(ua, h_a, meet_time)
             pb = evolve(ub, h_b, meet_time)
