@@ -1,8 +1,8 @@
 """Command-line entry point: one subcommand per experiment runner.
 
 The parser declares flags, types and help text only: an option left out
-stays out of the namespace, so the runner's own default applies. foo-bar
-runs experiments.run_foo_bar; chain-run and grid-run run_network_experiment.
+stays out of the namespace, so the runner's own default applies; --help
+shows it, read from the runner's signature (NoiseParams' for the rates).
 Any failure, a parse error included, exits 1 with a single JSON object
 {"error": ..., "type": ...} on stderr. --help exits 0.
 """
@@ -10,7 +10,7 @@ Any failure, a parse error included, exits 1 with a single JSON object
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import sys
 
@@ -24,6 +24,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+
+def _runner(exp: str):
+    """experiments.run_foo_bar runs foo-bar, run_network_experiment chain-run and grid-run."""
+    name = "network_experiment" if exp in ("chain-run", "grid-run") else exp.replace("-", "_")
+    return getattr(experiments, "run_" + name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,6 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--t-max", type=float)
 
+    for name, p in sub.choices.items():
+        params = inspect.signature(_runner(name)).parameters.items()
+        defaults = vars(NoiseParams()) | {k: v.default for k, v in params}
+        for action in p._actions[2:]:  # the options after -h and --out
+            action.help = f"{action.help or ''} (default: {defaults[action.dest]})".lstrip()
     return parser
 
 
@@ -79,18 +90,15 @@ def run(args: argparse.Namespace) -> dict:
     """Call the subcommand's runner with the options that were given."""
     kwargs = vars(args).copy()
     exp = kwargs.pop("experiment")
-    runner = "run_" + exp.replace("-", "_")
     if exp in ("chain-run", "grid-run"):
         kwargs["kind"] = exp
-        runner = "run_network_experiment"
     if "topology" in kwargs:
         with open(kwargs["topology"]) as fh:
             kwargs["topology"] = from_edge_list(fh.read())
-    rates = {f.name: kwargs.pop(f.name) for f in dataclasses.fields(NoiseParams)
-             if f.name in kwargs}
+    rates = {name: kwargs.pop(name) for name in vars(NoiseParams()) if name in kwargs}
     if rates:
         kwargs["params"] = NoiseParams(**rates)
-    result = getattr(experiments, runner)(out_dir=kwargs.pop("out"), **kwargs)
+    result = _runner(exp)(out_dir=kwargs.pop("out"), **kwargs)
     if exp == "coherence-protect":
         # strip the in-memory ndarray extras; keep the serializable part
         result = {k: v for k, v in result.items()

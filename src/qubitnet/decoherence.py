@@ -29,8 +29,6 @@ from .dynamics import IntegratorConfig, _integrate
 WARM_UP_TIME = 0.01
 RECORD_FLOOR = 1e-3
 
-_NOISE_BLOCK = 1024  # noise steps drawn at a time, so none before _integrate's checks
-
 _OFF_DIAGONAL = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # np.arctan2's SIMD kernel differs from libm in the last bit on a few
@@ -38,6 +36,13 @@ _OFF_DIAGONAL = np.array([[0.0, 1.0], [1.0, 0.0]])
 # ~1e-3 in coherence within ~1500 steps; libm's atan2, element by element,
 # keeps each seed's trajectory that of a loop of scalar math calls.
 _LIBM_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+_NOISE_BLOCK = 1024  # noise steps drawn at a time, so none before _integrate's checks
+_NOISE_BYTES = 16 * 2**20  # and at most this many bytes of them, whatever the batch
+
+
+def _noise_block(members: int) -> int:
+    return max(1, min(_NOISE_BLOCK, _NOISE_BYTES // (16 * members)))  # 2 float64 a member a step
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,12 @@ def _drift(rho: np.ndarray, p: NoiseParams) -> np.ndarray:
 
 def _axis_matrix(axis) -> np.ndarray:
     """axis . sigma for every (..., 3) axis."""
-    ax, ay, az = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
-    entries = np.stack([az, ax - 1j * ay, ax + 1j * ay, -az], axis=-1)
-    return entries.reshape(az.shape + (2, 2))
+    axis = np.asarray(axis, dtype=float)
+    ax, az, iay = axis[..., 0], axis[..., 2], 1j * axis[..., 1]
+    out = np.empty(az.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = az, -az
+    out[..., 0, 1], out[..., 1, 0] = ax - iay, ax + iay
+    return out
 
 
 def _coherence(rho: np.ndarray) -> np.ndarray:
@@ -94,7 +102,7 @@ def _coherence(rho: np.ndarray) -> np.ndarray:
 
 
 def _expected_z(rho: np.ndarray) -> np.ndarray:
-    return (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return rho[..., 0, 0].real - rho[..., 1, 1].real
 
 
 def lindblad_rhs(rho, axis, p: NoiseParams) -> np.ndarray:
@@ -137,7 +145,7 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
     nhat = _axis_matrix(axis / np.where(omega > 0.0, omega, 1.0)[..., None])
     phi = (omega * dt)[..., None, None]
     u = np.cos(phi) * I2 - 1j * np.sin(phi) * nhat
-    rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
+    rho = u @ rho @ u.swapaxes(-1, -2).conj()
 
     rho = rho + _drift(rho, p) * dt
     if p.eta_z * p.gamma_z > 0.0:
@@ -146,8 +154,8 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
         innovation = 2.0 * rho * SIGMA_Z - (2.0 * z) * rho
         rho = rho + math.sqrt(p.eta_z * p.gamma_z) * innovation * dW[..., None, None]
 
-    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
-    rho = rho / (rho[..., 0, 0] + rho[..., 1, 1]).real[..., None, None]
+    rho = 0.5 * (rho + rho.swapaxes(-1, -2).conj())
+    rho = rho / (rho[..., 0, 0].real + rho[..., 1, 1].real)[..., None, None]
     # closed-form 2x2 eigenvalue bound, cheaper than eigvalsh in the hot loop
     a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
     tr = a + d
@@ -173,15 +181,14 @@ def feedback_hamiltonian(rho_i, rho_j, c0_i, yz_i, p: NoiseParams) -> FeedbackAx
     suspended (zero axis) when the averaged record is below the floor or
     either qubit sits at the planar origin.
     """
-    s_i = 2.0 * np.asarray(rho_i, dtype=complex)[..., 1, 0]  # x + iy of qubit i
-    s_j = 2.0 * np.asarray(rho_j, dtype=complex)[..., 1, 0]
-    suspended = ((np.abs(yz_i) < RECORD_FLOOR) | (np.hypot(s_i.real, s_i.imag) < 1e-9)
-                 | (np.hypot(s_j.real, s_j.imag) < 1e-9))
-    phi = np.asarray(0.5 * _LIBM_ATAN2(-s_i.real, s_i.imag)
-                     + 0.5 * _LIBM_ATAN2(-s_j.real, s_j.imag), dtype=float)
-    mu = np.where(suspended, 0.0,
-                  p.gamma_total * c0_i / np.where(suspended, 1.0, yz_i))
-    axis = np.stack([mu * np.cos(phi), mu * np.sin(phi), np.zeros_like(mu)], axis=-1)
+    s = 2.0 * np.array([np.asarray(rho_i, dtype=complex)[..., 1, 0],  # x + iy of i, then j
+                        np.asarray(rho_j, dtype=complex)[..., 1, 0]])
+    suspended = ((np.abs(yz_i) < RECORD_FLOOR)
+                 | np.logical_or(*(np.hypot(s.real, s.imag) < 1e-9)))
+    phi = np.add(*(0.5 * _LIBM_ATAN2(-s.real, s.imag).astype(float)))
+    mu = np.where(suspended, 0.0, p.gamma_total * c0_i / np.where(suspended, 1.0, yz_i))
+    axis = np.zeros(mu.shape + (3,))
+    axis[..., 0], axis[..., 1] = mu * np.cos(phi), mu * np.sin(phi)
     return FeedbackAxis(axis, suspended)
 
 
@@ -223,32 +230,32 @@ def simulate_protected_pair(
     fb_on = np.array(feedback if batched else [feedback], dtype=bool)
     if fb_on.shape != (len(seeds),):
         raise ValueError(f"{fb_on.size} feedback flags for {len(seeds)} seeds")
-    if fb_on.any() and p.gamma_z == 0.0:
+    any_feedback = bool(fb_on.any())
+    if any_feedback and p.gamma_z == 0.0:
         raise ValueError("feedback needs a measurement channel (gamma_z > 0)")
     if cfg.stop_threshold is not None:
         raise ValueError("protected-pair runs take no stop_threshold; they run to t_max")
     rho0 = np.array([rho0_i, rho0_j], dtype=complex)
     target = _coherence(rho0)
-    sqrt_dt = math.sqrt(cfg.dt)
     rngs = [np.random.default_rng(s) for s in seeds]
-    noise = None
+    noise = np.empty((_noise_block(len(seeds)), len(seeds), 2))
+    axes = np.zeros((len(seeds), 2, 3))  # zero in the warm-up and wherever feedback is off
 
     y_sum = np.zeros((len(seeds), 2))
-    suspended = np.zeros(len(seeds), dtype=int)
+    suspended = np.zeros((len(seeds), 2), dtype=int)  # per member and qubit
     k = 0
 
     def step(x):
-        nonlocal k, y_sum, suspended, noise
-        if k % _NOISE_BLOCK == 0:
-            noise = np.stack([rng.normal(0.0, sqrt_dt, (_NOISE_BLOCK, 2))
-                              for rng in rngs], axis=1)
+        nonlocal k, y_sum, suspended
+        if k % len(noise) == 0:
+            for m, rng in enumerate(rngs):
+                noise[:, m] = rng.normal(0.0, math.sqrt(cfg.dt), (len(noise), 2))
         t = k * cfg.dt
-        axes = np.zeros(x.shape[:-2] + (3,))
-        if t >= WARM_UP_TIME and fb_on.any():
+        if any_feedback and t >= WARM_UP_TIME:
             fb = feedback_hamiltonian(x, x[:, ::-1], target, y_sum / t, p)
-            axes = np.where(fb_on[:, None, None], fb.axis, 0.0)
-            suspended += (fb.suspended & fb_on[:, None]).sum(axis=1)
-        x, dy = sme_step(x, axes, p, noise[k % _NOISE_BLOCK], cfg.dt)
+            np.copyto(axes, fb.axis, where=fb_on[:, None, None])
+            suspended += fb.suspended & fb_on[:, None]
+        x, dy = sme_step(x, axes, p, noise[k % len(noise)], cfg.dt)
         if dy is not None:
             y_sum += dy
         k += 1
@@ -267,5 +274,5 @@ def simulate_protected_pair(
     out = [PairTrajectory(r.sample_times,
                           np.stack([r.metrics["cxy_i"], r.metrics["cxy_j"]], axis=1),
                           r.metrics["distance"], target, int(n), r.samples[-1])
-           for r, n in zip(runs, suspended)]
+           for r, n in zip(runs, suspended.sum(axis=1))]
     return out if batched else out[0]

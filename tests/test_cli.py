@@ -1,6 +1,9 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +16,7 @@ import pytest
 import qubitnet
 from qubitnet import experiments
 from qubitnet.cli import build_parser, main
+from qubitnet.decoherence import NoiseParams
 from qubitnet.topology import from_edge_list
 
 
@@ -362,6 +366,25 @@ class TestParsing:
             main([sub, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: qubitnet {sub}")
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_help_names_each_default(self, capsys, sub):
+        """Every option but --out shows the default that applies when it is
+        left out: its runner's keyword default, or NoiseParams' for a rate."""
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        shown = {entry.split()[0]: " ".join(entry.split())
+                 for entry in re.split(r"\n\s+(?=--)", options)[1:]}  # [0] is -h
+        runner = (experiments.run_network_experiment if sub in ("chain-run", "grid-run")
+                  else getattr(experiments, "run_" + sub.replace("-", "_")))
+        params = inspect.signature(runner).parameters
+        defaults = {name: params[name].default for name in params}
+        defaults |= {f.name: f.default for f in dataclasses.fields(NoiseParams)}
+        assert shown.pop("--out") == "--out OUT output directory" and shown
+        for flag, entry in shown.items():
+            name = "master_seed" if flag == "--seed" else flag[2:].replace("-", "_")
+            assert entry.endswith(f"(default: {defaults[name]})"), entry
 
     @pytest.mark.parametrize("sub", SUBCOMMANDS)
     def test_left_out_options_stay_out(self, sub):

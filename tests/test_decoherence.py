@@ -177,6 +177,156 @@ class TestSmeStepProperties:
             sme_step(rho, axes, NoiseParams(), dw, dt)
 
 
+# The SME kernels as they were written before their data movement was cut,
+# kept as bit-for-bit oracles: the feedback loop grows one ulp to ~1e-3.
+# Results are compared with .tobytes(), which, unlike np.array_equal, tells
+# -0.0 from 0.0 (summary.json prints complex numbers with the zero's sign).
+def axis_matrix_oracle(axis):
+    ax, ay, az = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
+    entries = np.stack([az, ax - 1j * ay, ax + 1j * ay, -az], axis=-1)
+    return entries.reshape(az.shape + (2, 2))
+
+
+def expected_z_oracle(rho):
+    return (rho[..., 0, 0] - rho[..., 1, 1]).real
+
+
+def sme_step_oracle(rho, axis, p, dW, dt):
+    rho = np.asarray(rho, dtype=complex)
+    axis = np.asarray(axis, dtype=float)
+    dW = np.asarray(dW, dtype=float)
+    z_before = expected_z_oracle(rho)
+    omega = np.sqrt(np.vecdot(axis, axis))
+    nhat = axis_matrix_oracle(axis / np.where(omega > 0.0, omega, 1.0)[..., None])
+    phi = (omega * dt)[..., None, None]
+    u = np.cos(phi) * decoherence.I2 - 1j * np.sin(phi) * nhat
+    rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
+    rho = rho + decoherence._drift(rho, p) * dt
+    if p.eta_z * p.gamma_z > 0.0:
+        z = expected_z_oracle(rho)[..., None, None]
+        innovation = 2.0 * rho * decoherence.SIGMA_Z - (2.0 * z) * rho
+        rho = rho + math.sqrt(p.eta_z * p.gamma_z) * innovation * dW[..., None, None]
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+    rho = rho / (rho[..., 0, 0] + rho[..., 1, 1]).real[..., None, None]
+    dy = None
+    if p.gamma_z > 0.0:
+        dy = z_before * dt + dW / (2.0 * math.sqrt(p.eta_z * p.gamma_z))
+    return rho, dy
+
+
+def feedback_oracle(rho_i, rho_j, c0_i, yz_i, p):
+    s_i = 2.0 * np.asarray(rho_i, dtype=complex)[..., 1, 0]
+    s_j = 2.0 * np.asarray(rho_j, dtype=complex)[..., 1, 0]
+    suspended = ((np.abs(yz_i) < decoherence.RECORD_FLOOR)
+                 | (np.hypot(s_i.real, s_i.imag) < 1e-9)
+                 | (np.hypot(s_j.real, s_j.imag) < 1e-9))
+    phi = np.asarray(0.5 * decoherence._LIBM_ATAN2(-s_i.real, s_i.imag)
+                     + 0.5 * decoherence._LIBM_ATAN2(-s_j.real, s_j.imag), dtype=float)
+    mu = np.where(suspended, 0.0, p.gamma_total * c0_i / np.where(suspended, 1.0, yz_i))
+    axis = np.stack([mu * np.cos(phi), mu * np.sin(phi), np.zeros_like(mu)], axis=-1)
+    return axis, suspended
+
+
+def protected_pair_oracle(rho0_i, rho0_j, p, cfg, seeds, flags):
+    """The batched step closure with its per-step zero axes, feedback test
+    and suspended sum, on whole 1024-step noise blocks."""
+    fb_on = np.array(flags, dtype=bool)
+    rho0 = np.array([rho0_i, rho0_j], dtype=complex)
+    target = decoherence._coherence(rho0)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    x = np.repeat(rho0[None], len(seeds), axis=0)
+    y_sum = np.zeros((len(seeds), 2))
+    suspended = np.zeros(len(seeds), dtype=int)
+    for k in range(cfg.n_steps):
+        if k % 1024 == 0:
+            noise = np.stack([rng.normal(0.0, math.sqrt(cfg.dt), (1024, 2))
+                              for rng in rngs], axis=1)
+        t = k * cfg.dt
+        axes = np.zeros(x.shape[:-2] + (3,))
+        if t >= WARM_UP_TIME and fb_on.any():
+            axis, susp = feedback_oracle(x, x[:, ::-1], target, y_sum / t, p)
+            axes = np.where(fb_on[:, None, None], axis, 0.0)
+            suspended += (susp & fb_on[:, None]).sum(axis=1)
+        x, dy = sme_step_oracle(x, axes, p, noise[k % 1024], cfg.dt)
+        y_sum += dy
+    return x, suspended
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def axis_stacks(draw):
+    """One (3,) axis or an (M, 2, 3) stack, with signed zeros and zero rows."""
+    shape = draw(st.sampled_from([(), (3, 2)]))
+    axes = draw(arrays(float, shape + (3,),
+                       elements=st.one_of(signed_zero, st.floats(-200.0, 200.0))))
+    axes[draw(arrays(bool, shape))] = draw(signed_zero)
+    return axes
+
+
+@st.composite
+def feedback_inputs(draw):
+    """Unbatched qubits or an (M, 2) batch of pairs, with planar-origin
+    qubits, signed zeros and records below the floor."""
+    shape = draw(st.sampled_from([(), (3,)]))
+    coord = st.one_of(signed_zero, st.sampled_from([1e-10, -1e-10]),
+                      st.floats(-0.57, 0.57))
+    record = st.one_of(signed_zero, st.floats(-2e-3, 2e-3), st.floats(-5.0, 5.0))
+    c0 = draw(arrays(float, (2,), elements=st.floats(0.0, 1.0)))
+    if shape == ():
+        pts = draw(arrays(float, (2, 3), elements=coord))
+        rho = density_from_bloch(pts)
+        return rho[0], rho[1], float(c0[0]), draw(record)
+    rho = density_from_bloch(draw(arrays(float, shape + (2, 3), elements=coord)))
+    return rho, rho[:, ::-1], c0, draw(arrays(float, shape + (2,), elements=record))
+
+
+class TestOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(axis_stacks())
+    def test_axis_matrix(self, axes):
+        got, want = decoherence._axis_matrix(axes), axis_matrix_oracle(axes)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(feedback_inputs())
+    def test_feedback_hamiltonian(self, inputs):
+        fb = feedback_hamiltonian(*inputs, NoiseParams())
+        axis, suspended = feedback_oracle(*inputs, NoiseParams())
+        assert fb.axis.shape == axis.shape and fb.axis.tobytes() == axis.tobytes()
+        assert np.shape(fb.suspended) == np.shape(suspended)
+        assert np.asarray(fb.suspended).tobytes() == np.asarray(suspended).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sme_batches(), axis_stacks())
+    def test_sme_step(self, batch, axes):
+        rho, _, dw, dt = batch
+        axes = np.resize(axes, (len(rho), 3))  # signed-zero rows on a batch
+        got, got_dy = sme_step(rho, axes, NoiseParams(), dw, dt)
+        want, want_dy = sme_step_oracle(rho, axes, NoiseParams(), dw, dt)
+        assert got.tobytes() == want.tobytes() and got_dy.tobytes() == want_dy.tobytes()
+
+    # the second pair has a qubit at the planar origin: every feedback
+    # member is suspended after warm-up; the 3-step block is forced
+    # through the byte bound
+    @pytest.mark.parametrize("bloch_j", [[0.1, 0.7, -0.1], [0.0, 0.0, 0.5]])
+    @pytest.mark.parametrize("block_steps", [None, 3])
+    def test_protected_pair(self, monkeypatch, bloch_j, block_steps):
+        p = NoiseParams()
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch(bloch_j)
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=1)
+        seeds, flags = [11, 12, 13, 14], [True, False, False, True]
+        if block_steps:
+            monkeypatch.setattr(decoherence, "_NOISE_BYTES", block_steps * 16 * len(seeds))
+            assert decoherence._noise_block(len(seeds)) == block_steps
+        runs = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
+        x, suspended = protected_pair_oracle(a, b, p, cfg, seeds, flags)
+        assert np.array([r.final_rhos for r in runs]).tobytes() == x.tobytes()
+        assert [r.suspended_steps for r in runs] == suspended.tolist()
+
+
 class TestFeedbackHamiltonian:
     def test_axis_is_planar_with_expected_gain(self):
         p = NoiseParams()
@@ -314,6 +464,16 @@ class TestProtectedPair:
             for name in ("coherence", "distance", "final_rhos"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(one, name))
             assert got.suspended_steps == one.suspended_steps
+
+    def test_noise_block_is_bounded_in_bytes(self):
+        # sizes only, nothing allocated: 200 000 pairs draw 3.2 MB a step,
+        # so a 16 MiB block holds 5 steps; small batches keep whole blocks
+        assert decoherence._NOISE_BYTES == 16 * 2**20
+        assert decoherence._noise_block(200_000) == 5
+        assert decoherence._noise_block(200) == decoherence._NOISE_BLOCK == 1024
+        assert decoherence._noise_block(10**8) == 1
+        for members in (1, 4, 200, 1025, 200_000, 10**6):
+            assert decoherence._noise_block(members) * 16 * members <= decoherence._NOISE_BYTES
 
     def test_rejected_run_draws_no_noise(self, monkeypatch):
         # 5e8 steps: the kept samples are over the limit, and drawing the

@@ -5,12 +5,13 @@
 
 The runs are every invocation of the benchmark workloads
 (bench/workloads.py) and every TINY_RUNS argv of tests/test_cli.py, each
-at seeds 0, 1 and 7; a run that takes no seed runs once. Each run writes
-into a fresh directory and is given a relative --out, so a path that a
-summary records reads the same whatever the temporary directory. One
-line per file, "<sha256>  <argv> :: <file>", plus "<sha256>  <argv> ::
-stdout" and the exit code. Two trees, or two hash seeds, that print the
-same lines wrote the same bytes.
+at seeds 0, 1 and 7 (a run that takes no seed runs once), then each of
+LONG_RUNS once. Each run writes into a fresh directory and is given a
+relative --out, so a path that a summary records reads the same
+whatever the temporary directory. One line per file, "<sha256>  <argv>
+:: <file>", plus "<sha256>  <argv> :: stdout" and the exit code. Two
+trees, or two hash seeds, that print the same lines wrote the same
+bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 7)
+# coherence-protect at the acceptance size: over its 5 000 steps the
+# feedback loop grows a one-ulp change in the SME step to about 1e-3
+LONG_RUNS = [["coherence-protect", "--n-traj", "100", "--dt", "1e-4", "--seed", "0"]]
 
 
 def tiny_runs() -> list[list[str]]:
@@ -54,7 +58,7 @@ def argvs() -> list[list[str]]:
                 argv = [*argv[:i], *argv[i + 2:], "--seed", str(seed)]
             runs.append(argv)
     distinct = []
-    for argv in runs:
+    for argv in runs + LONG_RUNS:
         if argv not in distinct:
             distinct.append(argv)
     return distinct
