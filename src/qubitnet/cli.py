@@ -1,15 +1,17 @@
 """Command-line entry point: one subcommand per experiment runner.
 
-The parser declares flags, types and help text only: an option left out
-stays out of the namespace, so the runner's own default applies; --help
-shows it, read from the runner's signature (NoiseParams' for the rates).
-Any failure, a parse error included, exits 1 with a single JSON object
+Each subcommand's options are read from its runner's signature, one per
+keyword parameter: master_seed is --seed, a NoiseParams is its four
+rates, and --help shows each default. An option left out stays out of
+the namespace, so the runner's own default applies. Any failure, a
+parse error included, exits 1 with a single JSON object
 {"error": ..., "type": ...} on stderr. --help exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -17,6 +19,20 @@ import sys
 from . import experiments
 from .decoherence import NoiseParams
 from .topology import from_edge_list
+
+# the subcommands, in --help order
+EXPERIMENTS = {
+    "min-time-heatmap": "settling vs minimum-time gap over initial angles",
+    "chain-run": "single consensus run (chain-run)",
+    "grid-run": "single consensus run (grid-run)",
+    "scaling-sweep": "settling time vs network size",
+    "qcme-compare": "three-protocol convergence comparison at N=3",
+    "coherence-protect": "measurement-feedback coherence protection ensemble",
+    "sphere-twin-check": "quantum vs sphere-ODE trajectory agreement",
+}
+# help text shown before an option's default
+_HELP = {"master_seed": "master seed",
+         "topology": "edge-list file (1-based 'i j w' lines)"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,62 +43,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _runner(exp: str):
-    """experiments.run_foo_bar runs foo-bar, run_network_experiment chain-run and grid-run."""
-    name = "network_experiment" if exp in ("chain-run", "grid-run") else exp.replace("-", "_")
-    return getattr(experiments, "run_" + name)
+    """experiments.run_foo_bar runs foo-bar; chain-run and grid-run are
+    run_network_experiment of that kind."""
+    if exp in ("chain-run", "grid-run"):
+        return functools.partial(experiments.run_network_experiment, exp)
+    return getattr(experiments, "run_" + exp.replace("-", "_"))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qubitnet", description="Distributed partial consensus "
                      "experiments for qubit networks")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def add(name: str, help: str, seeded: bool = True):
-        """A subcommand; --seed sets its runner's master_seed where seeded."""
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    for exp, summary in EXPERIMENTS.items():
+        p = sub.add_parser(exp, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--out", required=True, help="output directory")
-        if seeded:
-            p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
-                           help="master seed")
-        return p
-
-    p = add("min-time-heatmap", "settling vs minimum-time gap over initial angles", False)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--dt", type=float)
-
-    for kind in ("chain-run", "grid-run"):
-        p = add(kind, f"single consensus run ({kind})")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-max", type=float)
-        p.add_argument("--topology", help="edge-list file (1-based 'i j w' lines)")
-
-    p = add("scaling-sweep", "settling time vs network size")
-    p.add_argument("--chain-sizes", type=int, nargs="+")
-    p.add_argument("--grid-sides", type=int, nargs="+")
-    p.add_argument("--n-seeds", type=int)
-    p.add_argument("--dt", type=float)
-
-    p = add("qcme-compare", "three-protocol convergence comparison at N=3")
-    p.add_argument("--n-seeds", type=int)
-    p.add_argument("--cap", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-max", type=float)
-
-    p = add("coherence-protect", "measurement-feedback coherence protection ensemble")
-    p.add_argument("--n-traj", type=int)
-    for flag in ("--dt", "--t-max", "--gamma-r", "--gamma-phi", "--gamma-z", "--eta-z"):
-        p.add_argument(flag, type=float)
-
-    p = add("sphere-twin-check", "quantum vs sphere-ODE trajectory agreement")
-    p.add_argument("--n-seeds", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-max", type=float)
-
-    for name, p in sub.choices.items():
-        params = inspect.signature(_runner(name)).parameters.items()
-        defaults = vars(NoiseParams()) | {k: v.default for k, v in params}
-        for action in p._actions[2:]:  # the options after -h and --out
-            action.help = f"{action.help or ''} (default: {defaults[action.dest]})".lstrip()
+        # one option per keyword parameter, --seed first, a NoiseParams as its rates
+        params = inspect.signature(_runner(exp)).parameters
+        defaults = {}
+        for name in sorted(params, key=lambda name: name != "master_seed"):
+            if name == "params":
+                defaults |= vars(NoiseParams())
+            elif name != "out_dir":
+                defaults[name] = params[name].default
+        for name, default in defaults.items():
+            flag = "seed" if name == "master_seed" else name
+            # a tuple default takes a list of ints, a None one (topology) a path
+            many = isinstance(default, tuple)
+            kind = int if many else None if default is None else type(default)
+            p.add_argument("--" + flag.replace("_", "-"), dest=name, metavar=flag.upper(),
+                           type=kind, nargs="+" if many else None,
+                           help=f"{_HELP.get(name, '')} (default: {default})".lstrip())
     return parser
 
 
@@ -90,8 +80,6 @@ def run(args: argparse.Namespace) -> dict:
     """Call the subcommand's runner with the options that were given."""
     kwargs = vars(args).copy()
     exp = kwargs.pop("experiment")
-    if exp in ("chain-run", "grid-run"):
-        kwargs["kind"] = exp
     if "topology" in kwargs:
         with open(kwargs["topology"]) as fh:
             kwargs["topology"] = from_edge_list(fh.read())

@@ -243,11 +243,10 @@ _MAX_SAMPLE_BYTES = 2 * 2**30
 def _batch(states, width: int) -> tuple[np.ndarray, bool]:
     """States as one (N, width) run or a (B, N, width) batch, and whether
     they are a batch."""
-    if states.ndim == 3:
-        if states.shape[2] != width:
-            raise ValueError(f"expected a (B, N, {width}) batch, got {states.shape}")
-        return states, True
-    return states.reshape(-1, width), False
+    if states.ndim not in (2, 3) or states.shape[-1] != width:
+        raise ValueError(f"expected (N, {width}) states or a (B, N, {width}) batch, "
+                         f"got {states.shape}")
+    return states, states.ndim == 3
 
 
 def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):

@@ -37,6 +37,7 @@ QCME_CAP_ANGLE = 0.8  # cap radius (rad) for qcme-compare initial spreads
 # full trajectory at once, about 0.5 MB per cell at the default dt, so
 # the 1024 cells of the default map run in batches, not all together.
 HEATMAP_BATCH = 64
+HEATMAP_V_THRESHOLD = 1e-5  # V at which a heatmap cell counts as settled
 
 
 def sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -122,24 +123,23 @@ def run_min_time_heatmap(
     out_dir: str,
     resolution: int = 32,
     dt: float = 1e-3,
-    v_threshold: float = 1e-5,
 ) -> dict:
     """Settling-versus-minimum-time gap on a polar/azimuthal grid.
 
     Both qubits start at the same polar angle theta in (0, pi/4) with an
     azimuthal offset dphi in (0, pi/2); the pair is run under the chain
-    protocol until V drops below v_threshold. The first settling time is
-    compared cell by cell against half the great-circle separation.
+    protocol until V drops below HEATMAP_V_THRESHOLD. The first settling
+    time is compared cell by cell against half the great-circle separation.
     Only the azimuthal difference matters (the protocol commutes with
     rotations about z), so the pair is centered in the allowed phi range.
     """
     if resolution < 8:
         raise ValueError("heatmap resolution must be at least 8")
-    cfg = IntegratorConfig(dt=dt, t_max=20.0, stop_threshold=v_threshold)
+    cfg = IntegratorConfig(dt=dt, t_max=20.0, stop_threshold=HEATMAP_V_THRESHOLD)
     thetas = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 4.0)
     dphis = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 2.0)
 
-    spec = SettlingSpec(threshold=v_threshold, metric="V")
+    spec = SettlingSpec(threshold=HEATMAP_V_THRESHOLD, metric="V")
     cells = [(theta, dphi, 0.5 * (math.pi / 2.0 - dphi))
              for theta in thetas for dphi in dphis]
     kets = np.array([[ket_from_angles(theta, phi1),
@@ -169,7 +169,7 @@ def run_min_time_heatmap(
         "experiment": "min-time-heatmap",
         "resolution": resolution,
         "dt": dt,
-        "v_threshold": v_threshold,
+        "v_threshold": HEATMAP_V_THRESHOLD,
     }, tables={"min_time_heatmap.csv": (["theta", "dphi", "t1", "t_min", "diff"], rows)})
     return {"csv": os.path.join(out_dir, "min_time_heatmap.csv"), "cells": len(rows),
             "max_diff": max_diff}
@@ -471,9 +471,7 @@ def run_coherence_protect(
                                                         arms["nofb"]["cxy_se"][half]))
     write_run(out_dir, {
         "experiment": "coherence-protect", "master_seed": master_seed,
-        "n_traj": n_traj, "dt": dt, "t_max": t_max,
-        "gamma_r": p.gamma_r, "gamma_phi": p.gamma_phi,
-        "gamma_z": p.gamma_z, "eta_z": p.eta_z,
+        "n_traj": n_traj, "dt": dt, "t_max": t_max, **vars(p),
     }, tables={"coherence_protect.csv": (["time", *cols],
                                          np.column_stack([times, *cols.values()]))},
               docs={"summary.json": summary})

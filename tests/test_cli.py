@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -391,6 +392,33 @@ class TestParsing:
         """The runner's default applies: the parser holds none of its own."""
         args = build_parser().parse_args([sub, "--out", "o"])
         assert vars(args) == {"experiment": sub, "out": "o"}
+
+    def test_option_surface_is_pinned(self):
+        """Each subcommand's options in order, with type and nargs: a runner
+        parameter renamed or added fails here instead of becoming a flag."""
+        out, seed, dt, t_max = ("--out", None, None), ("--seed", int, None), \
+            ("--dt", float, None), ("--t-max", float, None)
+        network = [out, seed, dt, t_max, ("--topology", None, None)]
+        surface = {
+            "min-time-heatmap": [out, ("--resolution", int, None), dt],
+            "chain-run": network,
+            "grid-run": network,
+            "scaling-sweep": [out, seed, ("--chain-sizes", int, "+"),
+                              ("--grid-sides", int, "+"), ("--n-seeds", int, None), dt],
+            "qcme-compare": [out, seed, ("--n-seeds", int, None), ("--cap", float, None),
+                             dt, t_max],
+            "coherence-protect": [out, seed, ("--n-traj", int, None), dt, t_max,
+                                  *((f"--{rate}", float, None) for rate in
+                                    ("gamma-r", "gamma-phi", "gamma-z", "eta-z"))],
+            "sphere-twin-check": [out, seed, ("--n-seeds", int, None), dt, t_max],
+        }
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(surface)
+        for sub, parser in subparsers.choices.items():
+            options = [(a.option_strings[-1], a.type, a.nargs)
+                       for a in parser._actions[1:]]  # [0] is -h
+            assert options == surface[sub], sub
 
 
 class TestInputValidation:

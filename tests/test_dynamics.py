@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -788,6 +789,17 @@ class TestTopologyList:
         kets = self._cap_kets(np.random.default_rng(75), 1)[0]
         with pytest.raises(ValueError, match="batch of kets"):
             simulate_network(kets, [chain(3)], "geometry", IntegratorConfig(t_max=0.1))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 2, 3), (8,), (1, 4, 2, 1)])
+    def test_rejects_states_of_the_wrong_width(self, shape):
+        # four Bloch vectors given as kets: not read as six kets
+        with pytest.raises(ValueError, match=r"expected \(N, 2\) states or a \(B, N, 2\) "
+                                             rf"batch, got {re.escape(str(shape))}"):
+            simulate_network(np.ones(shape), chain(4), "chain", IntegratorConfig(t_max=0.1))
+
+    def test_sphere_rejects_kets(self):
+        with pytest.raises(ValueError, match=r"expected \(N, 3\) states"):
+            simulate_sphere(np.ones((4, 2)), chain(4), IntegratorConfig(t_max=0.1))
 
 
 class TestStopMetric:

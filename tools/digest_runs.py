@@ -3,15 +3,16 @@
     python3 tools/digest_runs.py                    # this checkout's src/
     python3 tools/digest_runs.py --src OTHER/src    # another tree's code
 
-The runs are every invocation of the benchmark workloads
-(bench/workloads.py) and every TINY_RUNS argv of tests/test_cli.py, each
-at seeds 0, 1 and 7 (a run that takes no seed runs once), then each of
-LONG_RUNS once. Each run writes into a fresh directory and is given a
-relative --out, so a path that a summary records reads the same
-whatever the temporary directory. One line per file, "<sha256>  <argv>
-:: <file>", plus "<sha256>  <argv> :: stdout" and the exit code. Two
-trees, or two hash seeds, that print the same lines wrote the same
-bytes.
+The runs are `qubitnet --help` and each `<subcommand> --help`, with
+COLUMNS=80 so argparse wraps the same way on every terminal, then every
+invocation of the benchmark workloads (bench/workloads.py) and every
+TINY_RUNS argv of tests/test_cli.py, each at seeds 0, 1 and 7 (a run
+that takes no seed runs once), then each of LONG_RUNS once. Each run
+writes into a fresh directory and is given a relative --out, so a path
+that a summary records reads the same whatever the temporary directory.
+One line per file, "<sha256>  <argv> :: <file>", plus "<sha256>  <argv>
+:: stdout" and the exit code. Two trees, or two hash seeds, that print
+the same lines wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def argvs() -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import WORKLOADS, invocations
 
-    runs = []
+    subcommands = list(dict.fromkeys(argv[0] for argv in tiny_runs()))
+    runs = [["--help"], *([sub, "--help"] for sub in subcommands)]
     for seed in SEEDS:
         for workload in WORKLOADS:
             runs += [[a[0], *a[3:]] for a in invocations(workload, seed, "")]
@@ -65,7 +67,8 @@ def argvs() -> list[list[str]]:
 
 
 def digest(argv: list[str], main) -> list[str]:
-    """Run one argv in a fresh directory; the digest lines of its outputs."""
+    """Run one argv in a fresh directory, with --out unless it asks for
+    --help; the digest lines of its outputs."""
     label = " ".join(argv)
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -73,7 +76,11 @@ def digest(argv: list[str], main) -> list[str]:
         try:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                rc = main([argv[0], "--out", "out", *argv[1:]])
+                try:
+                    rc = main(argv if "--help" in argv
+                              else [argv[0], "--out", "out", *argv[1:]])
+                except SystemExit as exc:  # --help exits through argparse
+                    rc = exc.code
             files = sorted(Path("out").iterdir()) if Path("out").is_dir() else []
             lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {label} :: {p.name}"
                      for p in files]
@@ -89,6 +96,7 @@ def main() -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the qubitnet package to run")
     args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, os.path.abspath(args.src))
     from qubitnet.cli import main as cli_main
 
