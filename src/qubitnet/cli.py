@@ -4,8 +4,8 @@ Each subcommand's options are read from its runner's signature, one per
 keyword parameter: master_seed is --seed, a NoiseParams is its four
 rates, and --help shows each default. An option left out stays out of
 the namespace, so the runner's own default applies. Any failure, a
-parse error included, exits 1 with a single JSON object
-{"error": ..., "type": ...} on stderr. --help exits 0.
+parse error or a value leaving the float range included, exits 1 with
+a single JSON object {"error": ..., "type": ...} on stderr. --help exits 0.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import functools
 import inspect
 import json
 import sys
+
+import numpy as np
 
 from . import experiments
 from .decoherence import NoiseParams
@@ -97,7 +99,8 @@ def run(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        result = run(build_parser().parse_args(argv))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = run(build_parser().parse_args(argv))
     except Exception as exc:  # noqa: BLE001 - single reporting point
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
               file=sys.stderr)

@@ -194,14 +194,14 @@ def feedback_hamiltonian(rho_i, rho_j, c0_i, yz_i, p: NoiseParams) -> FeedbackAx
 
 @dataclass
 class PairTrajectory:
-    """Per-sample series of a protected-pair run."""
+    """Per-sample series of a protected-pair ensemble, member axis first."""
 
     sample_times: np.ndarray
-    coherence: np.ndarray      # (S, 2)
-    distance: np.ndarray       # (S,) Frobenius distance between the qubits
-    target: np.ndarray         # (2,) initial coherence values held by feedback
-    suspended_steps: int
-    final_rhos: np.ndarray     # (2, 2, 2) end-of-run density matrices
+    coherence: np.ndarray        # (M, S, 2)
+    distance: np.ndarray         # (M, S) Frobenius distance between the qubits
+    target: np.ndarray           # (2,) initial coherence values held by feedback
+    suspended_steps: np.ndarray  # (M,) steps with feedback suspended, both qubits counted
+    final_rhos: np.ndarray       # (M, 2, 2, 2) end-of-run density matrices
 
 
 def simulate_protected_pair(
@@ -209,9 +209,9 @@ def simulate_protected_pair(
     rho0_j,
     p: NoiseParams,
     cfg: IntegratorConfig,
-    seed: int | list[int],
-    feedback: bool | list[bool] = True,
-) -> PairTrajectory | list[PairTrajectory]:
+    seeds: list[int],
+    feedback: list[bool],
+) -> PairTrajectory:
     """Co-evolve two qubits under independent measurement noise.
 
     Each qubit owns an independent Wiener stream; the feedback axes are
@@ -219,15 +219,13 @@ def simulate_protected_pair(
     feedback off during the warm-up window. A seed's noise, drawn in blocks
     as the run goes, is default_rng(seed).normal(0, sqrt(dt), (n_steps, 2)).
 
-    An int seed gives one PairTrajectory. Seeds with one feedback flag
-    each step one pair per seed, all from the same initial states, as one
-    batch, and give one PairTrajectory per seed, each equal to its
-    one-member run. Every pair runs to cfg.t_max: a cfg.stop_threshold is
-    rejected.
+    Each seed, with its feedback flag, steps one pair from the same
+    initial states; all pairs step as one batch, and member m of the
+    result equals the one-member run of seeds[m]. Every pair runs to
+    cfg.t_max, since a cfg.stop_threshold is rejected, so the members
+    share one time grid.
     """
-    batched = np.ndim(seed) > 0
-    seeds = list(seed) if batched else [seed]
-    fb_on = np.array(feedback if batched else [feedback], dtype=bool)
+    fb_on = np.array(feedback, dtype=bool)
     if fb_on.shape != (len(seeds),):
         raise ValueError(f"{fb_on.size} feedback flags for {len(seeds)} seeds")
     any_feedback = bool(fb_on.any())
@@ -269,10 +267,8 @@ def simulate_protected_pair(
     series = {"cxy_i": lambda x: _coherence(x[..., 0, :, :]),
               "cxy_j": lambda x: _coherence(x[..., 1, :, :]),
               "distance": distance}
-    x0 = np.repeat(rho0[None], len(seeds), axis=0)
-    runs = _integrate(x0, step, series, cfg)
-    out = [PairTrajectory(r.sample_times,
-                          np.stack([r.metrics["cxy_i"], r.metrics["cxy_j"]], axis=1),
-                          r.metrics["distance"], target, int(n), r.samples[-1])
-           for r, n in zip(runs, suspended.sum(axis=1))]
-    return out if batched else out[0]
+    runs = _integrate(np.repeat(rho0[None], len(seeds), axis=0), step, series, cfg)
+    cxy_i, cxy_j, dist = (np.array([r.metrics[m] for r in runs]) for m in series)
+    return PairTrajectory(runs[0].sample_times, np.stack([cxy_i, cxy_j], axis=-1), dist,
+                          target, suspended.sum(axis=1),
+                          np.array([r.samples[-1] for r in runs]))

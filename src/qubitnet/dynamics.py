@@ -260,8 +260,8 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
     trajectory ends at that sample. As in a one-member run, the stop test
     starts at the first sample after a step. Stopped members stay in the
     batch and are stepped on until the last member stops, which ends the
-    run. A single run is stepped as the plain (N, .) array, without a
-    batch axis, and gives one Trajectory; a batch gives one per member.
+    run. A single run is stepped as the plain (N, .) array but recorded
+    as a batch of one; _members cuts one Trajectory per member.
 
     Only the stop metric (when a threshold is set) and the series named
     in per_sample are evaluated at every kept sample. The others are
@@ -307,27 +307,30 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
             if (ends >= 0).all():
                 break
     times = np.array(steps) * cfg.dt
-    done = {m: np.stack(values, axis=-1) for m, values in live.items()}
+    done = {m: np.column_stack(values) for m, values in live.items()}  # (B, S)
     del live  # its lists go, like the snapshots, before the samples are copied
-    axis = 0 if single else 1  # samples are (S, N, .) or (B, S, ...)
-    # one copy, without the per-snapshot views np.stack would make
-    samples = np.concatenate(snaps, axis=axis).reshape(
-        x.shape[:axis] + (len(snaps),) + x.shape[axis:])
+    axis = 0 if single else 1  # one (B, S, ...) copy of the (N, .) or (B, N, ...)
+    # snapshots, without the per-snapshot views np.stack would make
+    samples = np.concatenate(snaps, axis=axis).reshape(len(ends), len(snaps), *x.shape[axis:])
     del snaps  # so the kept samples are held twice only while they are copied
     block = max(1, _SERIES_BLOCK // (x.size // x.shape[-1] * x.shape[-2]))
-    parts = np.split(samples, range(block, len(steps), block), axis=axis)
+    parts = np.split(samples, range(block, len(steps), block), axis=1)
     metrics = {m: done[m] if m in done
                else np.concatenate([f(part) for part in parts], axis=-1)
                for m, f in series.items()}
-    reasons = ["t_max" if e < 0 else "threshold" for e in ends]
-    if single:
-        return Trajectory(times, samples, metrics, reasons[0])
-    ends[ends < 0] = len(steps) - 1
-    return [
-        Trajectory(times[: e + 1], samples[b, : e + 1],
-                   {m: v[b, : e + 1] for m, v in metrics.items()}, reason)
-        for b, (e, reason) in enumerate(zip(ends, reasons))
-    ]
+    runs = _members(times, samples, metrics, ends)
+    return runs[0] if single else runs
+
+
+def _members(times, samples, metrics, ends) -> list[Trajectory]:
+    """One Trajectory per member of (B, S, ...) samples or None and (B, S)
+    metrics: member b keeps samples 0 to ends[b], where it fell below the
+    stop threshold, or all of them when ends[b] is -1."""
+    cuts = np.where(ends < 0, len(times), ends + 1)  # samples each member keeps
+    return [Trajectory(times[:c], None if samples is None else samples[b, :c],
+                       {m: v[b, :c] for m, v in metrics.items()},
+                       "t_max" if e < 0 else "threshold")
+            for b, (c, e) in enumerate(zip(cuts, ends))]
 
 
 def simulate_network(
@@ -501,11 +504,8 @@ def simulate_qcme(
         below = d[:, 1:block.stop] < stop  # the stop test starts after step 0
         if below.any(axis=1).all():
             break
-    stopped = below.any(axis=1)
-    ends = np.where(stopped, below.argmax(axis=1) + 1, len(times) - 1)
-    runs = [Trajectory(times[:e + 1], None, {"composite_distance": d[b, :e + 1]},
-                       "threshold" if s else "t_max")
-            for b, (e, s) in enumerate(zip(ends, stopped))]
+    ends = np.where(below.any(axis=1), below.argmax(axis=1) + 1, -1)
+    runs = _members(times, None, {"composite_distance": d}, ends)
     return runs if rho.ndim == 3 else runs[0]
 
 

@@ -424,56 +424,45 @@ def run_coherence_protect(
         np.random.default_rng([master_seed, 3]), 2, lambda v: math.hypot(v[0], v[1]) > 0.3))
 
     # both arms, feedback on then off, as one batch of 2 * n_traj pairs
-    arm_flags = (("fb", True), ("nofb", False))
+    arm_flags = {"fb": True, "nofb": False}
     seeds = [int(np.random.default_rng([master_seed, 4, m, int(fb)]).integers(2**63))
-             for _, fb in arm_flags for m in range(n_traj)]
-    runs = simulate_protected_pair(rho_i, rho_j, p, cfg, seeds,
-                                   feedback=[fb for _, fb in arm_flags
-                                             for _ in range(n_traj)])
-    times = runs[0].sample_times
-    arms: dict[str, dict[str, np.ndarray]] = {}
-    finals: dict[str, np.ndarray] = {}
-    for a, (arm, _) in enumerate(arm_flags):
-        members = runs[a * n_traj:(a + 1) * n_traj]
-        cxy = np.array([r.coherence.mean(axis=1) for r in members])
-        dist = np.array([r.distance for r in members])
-        arms[arm] = {
-            "cxy_mean": cxy.mean(axis=0),
-            "cxy_se": cxy.std(axis=0, ddof=1) / math.sqrt(n_traj),
-            "dist_mean": dist.mean(axis=0),
-            "dist_se": dist.std(axis=0, ddof=1) / math.sqrt(n_traj),
-        }
-        finals[arm] = np.array([r.final_rhos for r in members])
-
-    cols = {f"{q}_{arm}_{stat}": arms[arm][f"{q}_{stat}"]
-            for q in ("cxy", "dist") for arm in ("fb", "nofb") for stat in ("mean", "se")}
+             for fb in arm_flags.values() for m in range(n_traj)]
+    run = simulate_protected_pair(rho_i, rho_j, p, cfg, seeds,
+                                  [fb for fb in arm_flags.values() for _ in range(n_traj)])
+    # (quantity, arm, member, sample) of the two-qubit mean coherence and the distance
+    series = np.stack([run.coherence.mean(axis=-1), run.distance]).reshape(2, 2, n_traj, -1)
+    stats = np.stack([series.mean(axis=2),
+                      series.std(axis=2, ddof=1) / math.sqrt(n_traj)], axis=2)
+    cols = dict(zip([f"{q}_{arm}_{stat}" for q in ("cxy", "dist") for arm in arm_flags
+                     for stat in ("mean", "se")], stats.reshape(8, -1)))
+    finals = dict(zip(arm_flags, run.final_rhos.reshape(2, n_traj, 2, 2, 2)))
     # deterministic reference for the feedback-off arm
     rho_lind = simulate_lindblad(rho_i, np.zeros(3), p, cfg)
 
     # a run that ends before t = 0.5 has no value at t = 0.5: null in JSON
-    half = int(np.argmin(np.abs(times - 0.5))) if t_max >= 0.5 else None
+    half = int(np.argmin(np.abs(run.sample_times - 0.5))) if t_max >= 0.5 else None
     summary = {
         "csv": os.path.join(out_dir, "coherence_protect.csv"),
         "n_traj": n_traj,
         "cxy_fb_at_half": None,
         "cxy_nofb_at_half": None,
         "pooled_se_at_half": None,
-        "dist_fb_initial": float(arms["fb"]["dist_mean"][0]),
-        "dist_fb_final": float(arms["fb"]["dist_mean"][-1]),
+        "dist_fb_initial": float(cols["dist_fb_mean"][0]),
+        "dist_fb_final": float(cols["dist_fb_mean"][-1]),
         "nofb_final_rho_mean": [[str(v) for v in row]
                                 for row in finals["nofb"].mean(axis=0)[0]],
         "lindblad_final_rho": [[str(v) for v in row] for row in rho_lind],
     }
     if half is not None:
-        summary["cxy_fb_at_half"] = float(arms["fb"]["cxy_mean"][half])
-        summary["cxy_nofb_at_half"] = float(arms["nofb"]["cxy_mean"][half])
-        summary["pooled_se_at_half"] = float(math.hypot(arms["fb"]["cxy_se"][half],
-                                                        arms["nofb"]["cxy_se"][half]))
+        summary["cxy_fb_at_half"] = float(cols["cxy_fb_mean"][half])
+        summary["cxy_nofb_at_half"] = float(cols["cxy_nofb_mean"][half])
+        summary["pooled_se_at_half"] = float(math.hypot(cols["cxy_fb_se"][half],
+                                                        cols["cxy_nofb_se"][half]))
     write_run(out_dir, {
         "experiment": "coherence-protect", "master_seed": master_seed,
         "n_traj": n_traj, "dt": dt, "t_max": t_max, **vars(p),
     }, tables={"coherence_protect.csv": (["time", *cols],
-                                         np.column_stack([times, *cols.values()]))},
+                                         np.column_stack([run.sample_times, *cols.values()]))},
               docs={"summary.json": summary})
     return {**summary, "finals": finals, "lindblad_final": rho_lind}
 

@@ -543,6 +543,24 @@ class TestInputValidation:
         assert json.loads(capsys.readouterr().err)["type"] == "RuntimeError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, edges", [
+        (["chain-run", "--dt", "1e308", "--t-max", "1.7e308"], None),
+        (["sphere-twin-check", "--n-seeds", "1", "--dt", "1e308", "--t-max", "1.7e308"],
+         None),
+        (["grid-run"], "1 2 1e200\n2 3 1.0\n"),
+    ], ids=["chain-run", "sphere-twin-check", "grid-run"])
+    def test_values_leaving_the_float_range_fail(self, tmp_path, capsys, argv, edges):
+        # numbers past the float range fail the run instead of writing NaN
+        if edges is not None:
+            (tmp_path / "big.edges").write_text(edges)
+            argv = argv + ["--topology", str(tmp_path / "big.edges")]
+        out = tmp_path / "o"
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["type"] == "FloatingPointError"
+        assert not out.exists()
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         edges = tmp_path / "disc.edges"
         edges.write_text("1 2 1.0\n3 4 1.0\n")

@@ -321,10 +321,10 @@ class TestOracles:
         if block_steps:
             monkeypatch.setattr(decoherence, "_NOISE_BYTES", block_steps * 16 * len(seeds))
             assert decoherence._noise_block(len(seeds)) == block_steps
-        runs = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
+        run = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
         x, suspended = protected_pair_oracle(a, b, p, cfg, seeds, flags)
-        assert np.array([r.final_rhos for r in runs]).tobytes() == x.tobytes()
-        assert [r.suspended_steps for r in runs] == suspended.tolist()
+        assert run.final_rhos.tobytes() == x.tobytes()
+        assert run.suspended_steps.tolist() == suspended.tolist()
 
 
 class TestFeedbackHamiltonian:
@@ -360,27 +360,28 @@ class TestProtectedPair:
         rho = density_from_bloch([0.6, 0.0, 0.0])
         with pytest.raises(ValueError):
             simulate_protected_pair(rho, rho, p, IntegratorConfig(t_max=0.01),
-                                    seed=0, feedback=True)
+                                    [0], [True])
 
     def test_deterministic_under_seed(self):
         p = NoiseParams()
         a = density_from_bloch([0.6, 0.1, 0.2])
         b = density_from_bloch([0.1, 0.7, -0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.05, sample_every=10)
-        t1 = simulate_protected_pair(a, b, p, cfg, seed=42)
-        t2 = simulate_protected_pair(a, b, p, cfg, seed=42)
-        np.testing.assert_array_equal(t1.coherence, t2.coherence)
-        np.testing.assert_array_equal(t1.distance, t2.distance)
-        t3 = simulate_protected_pair(a, b, p, cfg, seed=43)
-        assert not np.array_equal(t1.coherence, t3.coherence)
+        t1 = simulate_protected_pair(a, b, p, cfg, [42], [True])
+        t2 = simulate_protected_pair(a, b, p, cfg, [42], [True])
+        np.testing.assert_array_equal(t1.coherence[0], t2.coherence[0])
+        np.testing.assert_array_equal(t1.distance[0], t2.distance[0])
+        t3 = simulate_protected_pair(a, b, p, cfg, [43], [True])
+        assert not np.array_equal(t1.coherence[0], t3.coherence[0])
 
     def test_zero_noise_flat_coherence(self):
         p = NoiseParams(gamma_r=0.0, gamma_phi=0.0, gamma_z=0.0, eta_z=1.0)
         a = density_from_bloch([0.6, 0.0, 0.3])
         b = density_from_bloch([0.0, 0.5, 0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.1, sample_every=100)
-        traj = simulate_protected_pair(a, b, p, cfg, seed=1, feedback=False)
-        spread = np.abs(traj.coherence - traj.coherence[0][None, :])
+        traj = simulate_protected_pair(a, b, p, cfg, [1], [False])
+        coherence = traj.coherence[0]
+        spread = np.abs(coherence - coherence[0][None, :])
         assert spread.max() < 1e-12
 
     def test_records_targets_and_finals(self):
@@ -388,12 +389,12 @@ class TestProtectedPair:
         a = density_from_bloch([0.6, 0.0, 0.3])
         b = density_from_bloch([0.0, 0.5, 0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=10)
-        traj = simulate_protected_pair(a, b, p, cfg, seed=5)
+        traj = simulate_protected_pair(a, b, p, cfg, [5], [True])
         np.testing.assert_allclose(
             traj.target, [2 * abs(a[1, 0]), 2 * abs(b[1, 0])], atol=1e-12
         )
-        assert traj.final_rhos.shape == (2, 2, 2)
-        for rho in traj.final_rhos:
+        assert traj.final_rhos.shape == (1, 2, 2, 2)
+        for rho in traj.final_rhos[0]:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
 
     # the second pair has a qubit at the planar origin, so feedback is
@@ -409,15 +410,15 @@ class TestProtectedPair:
         cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=7)
         seeds, flags = [11, 12, 13, 14], [True, False, False, True]
         batch = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
-        assert len(batch) == len(seeds)
-        for got, seed, fb in zip(batch, seeds, flags):
-            one = simulate_protected_pair(a, b, p, cfg, seed, feedback=fb)
-            np.testing.assert_array_equal(got.sample_times, one.sample_times)
+        assert batch.suspended_steps.shape == (len(seeds),)
+        for m, (seed, fb) in enumerate(zip(seeds, flags)):
+            one = simulate_protected_pair(a, b, p, cfg, [seed], [fb])
+            np.testing.assert_array_equal(batch.sample_times, one.sample_times)
             for name in ("coherence", "distance", "final_rhos"):
-                np.testing.assert_allclose(getattr(got, name), getattr(one, name),
+                np.testing.assert_allclose(getattr(batch, name)[m], getattr(one, name)[0],
                                            rtol=0, atol=1e-12)
-            assert got.suspended_steps == one.suspended_steps
-        assert [t.suspended_steps for t in batch] == suspended
+            assert batch.suspended_steps[m] == one.suspended_steps[0]
+        assert batch.suspended_steps.tolist() == suspended
 
     def test_matches_scalar_reference_loop(self):
         # one pair stepped one 2x2 matrix at a time with successive scalar
@@ -426,7 +427,7 @@ class TestProtectedPair:
         rhos = [density_from_bloch([0.6, 0.1, 0.2]),
                 density_from_bloch([0.1, 0.7, -0.1])]
         cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=1)
-        traj = simulate_protected_pair(rhos[0], rhos[1], p, cfg, seed=21)
+        traj = simulate_protected_pair(rhos[0], rhos[1], p, cfg, [21], [True])
         c0 = [2.0 * abs(r[1, 0]) for r in rhos]
         rng = np.random.default_rng(21)
         y_sum = [0.0, 0.0]
@@ -441,9 +442,9 @@ class TestProtectedPair:
                                        rng.normal(0.0, math.sqrt(cfg.dt)), cfg.dt)
                 y_sum[q] += dy
             np.testing.assert_allclose(
-                traj.coherence[k + 1], [2.0 * abs(r[1, 0]) for r in rhos],
+                traj.coherence[0, k + 1], [2.0 * abs(r[1, 0]) for r in rhos],
                 rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.final_rhos, rhos, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.final_rhos[0], rhos, rtol=0, atol=1e-12)
 
     def test_noise_block_equals_successive_draws(self):
         block = np.random.default_rng(5).normal(0.0, 0.01, size=(300, 2))
@@ -460,10 +461,9 @@ class TestProtectedPair:
         args = (a, b, p, cfg, [31, 32], [True, False])
         whole = simulate_protected_pair(*args)
         monkeypatch.setattr(decoherence, "_NOISE_BLOCK", 7)
-        for got, one in zip(simulate_protected_pair(*args), whole):
-            for name in ("coherence", "distance", "final_rhos"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(one, name))
-            assert got.suspended_steps == one.suspended_steps
+        got = simulate_protected_pair(*args)
+        for name in ("coherence", "distance", "final_rhos", "suspended_steps"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(whole, name))
 
     def test_noise_block_is_bounded_in_bytes(self):
         # sizes only, nothing allocated: 200 000 pairs draw 3.2 MB a step,
@@ -502,4 +502,4 @@ class TestProtectedPair:
         rho = density_from_bloch([0.6, 0.0, 0.0])
         cfg = IntegratorConfig(t_max=0.01, stop_threshold=1e-2, stop_metric="distance")
         with pytest.raises(ValueError, match="stop_threshold"):
-            simulate_protected_pair(rho, rho, NoiseParams(), cfg, seed=0)
+            simulate_protected_pair(rho, rho, NoiseParams(), cfg, [0], [True])

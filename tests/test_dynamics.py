@@ -986,10 +986,9 @@ class TestSplitRecord:
                                            feedback=[True, False, True])
 
         got, want = _run_and_oracle(run, _pair_record, decoherence)
-        for g, w in zip(got, want):
-            for name in ("sample_times", "coherence", "distance", "final_rhos"):
-                np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
-            assert g.suspended_steps == w.suspended_steps
+        for name in ("sample_times", "coherence", "distance", "final_rhos",
+                     "suspended_steps"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_series_temporaries_stay_small(self):
         """A heatmap-shaped run: 64 two-qubit chain members sampled every

@@ -100,6 +100,12 @@ class TestEdgeList:
         assert t.n == 3
         assert t.edges() == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 0.5)]
 
+    def test_zero_weight_line_declares_its_nodes(self):
+        # node 4 has no edge; the zero-weight line still makes it the fourth
+        t = from_edge_list("1 2 1.0\n2 3 1.0\n3 4 0\n")
+        assert t.n == 4
+        assert not is_connected(t)
+
     def test_rejects_malformed_line(self):
         with pytest.raises(ValueError):
             from_edge_list("1 2 3 4\n")
