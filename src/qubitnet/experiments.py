@@ -313,9 +313,10 @@ def qcme_compare_cells(seeds, master_seed: int, cap: float = QCME_CAP_ANGLE,
                        dt: float = 1e-3, t_max: float = 20.0) -> list[dict]:
     """Seeds of the three-way convergence-rate comparison at N = 3.
 
-    All seeds run as one batch per protocol, both geometric edge sets in
-    one, but each seed's initial states depend only on the master seed
-    and the seed, so seeds can run in any order or grouping.
+    All seeds run as one network batch with a protocol and a gain per
+    member, and as one QCME batch per edge set, but each seed's initial
+    states depend only on the master seed and the seed, so seeds can
+    run in any order or grouping.
     """
     points = np.array([cap_points(np.random.default_rng([master_seed, 2, s]), 3, cap)
                        for s in seeds])
@@ -327,22 +328,20 @@ def qcme_compare_cells(seeds, master_seed: int, cap: float = QCME_CAP_ANGLE,
     qcfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=20,
                             stop_threshold=1e-3, stop_metric="composite_distance")
 
-    def network(x, topology, protocol: str, gain: float = 1.0) -> list:
-        return [(tr.sample_times, symmetric_distance_series(tr))
-                for tr in simulate_network(x, topology, protocol, cfg, gain=gain)]
-
     def qcme(topology: Topology) -> list:
         return [(tr.sample_times, tr.metrics["composite_distance"])
                 for tr in simulate_qcme(rho0, topology, qcfg)]
 
     size = len(kets)
-    geo = network(np.concatenate([kets, kets]), [t_line] * size + [t_tri] * size,
-                  "geometry", gain=2.0)
+    network = [(tr.sample_times, symmetric_distance_series(tr)) for tr in simulate_network(
+        np.concatenate([kets] * 3), [t_line] * (2 * size) + [t_tri] * size,
+        ["chain"] * size + ["geometry"] * (2 * size), cfg,
+        gain=[1.0] * size + [2.0] * (2 * size))]
     runs = {
-        "chain_eq": network(kets, t_line, "chain"),
-        "chain_geo": geo[:size],
+        "chain_eq": network[:size],
+        "chain_geo": network[size:2 * size],
         "chain_qcme": qcme(t_line),
-        "full_geo": geo[size:],
+        "full_geo": network[2 * size:],
         "full_qcme": qcme(t_tri),
     }
 

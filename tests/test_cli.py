@@ -290,12 +290,11 @@ class TestTopologyFile:
         assert manifest["n_qubits"] == 4
         assert manifest["edges"] == [[1, 2, 0.5], [1, 4, 0.1], [2, 3, 2.0], [3, 4, 1.0]]
         rebuilt = tmp_path / "rebuilt.edges"
-        rebuilt.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in manifest["edges"]))
+        argv, left = argv_from_manifest(manifest, rebuilt)
+        assert left == DERIVED["grid-run"]
         np.testing.assert_array_equal(from_edge_list(rebuilt.read_text()).weights,
                                       from_edge_list(edges.read_text()).weights)
-        again = self._run(tmp_path, capsys, "b", [
-            "grid-run", "--topology", str(rebuilt), "--t-max", str(manifest["t_max"]),
-            "--dt", str(manifest["dt"]), "--seed", str(manifest["seed"])])
+        again = self._run(tmp_path, capsys, "b", argv)
         assert again == first
 
 
@@ -336,6 +335,53 @@ def test_same_seed_same_bytes(tmp_path, capsys, argv, names):
 
     first = run_once()
     assert run_once() == first
+
+
+# manifest keys that set no option: constants each runner derives and records
+DERIVED = {"min-time-heatmap": {"v_threshold"},
+           "chain-run": {"gain", "protocol", "n_qubits"},
+           "grid-run": {"gain", "protocol", "n_qubits"}}
+
+
+def argv_from_manifest(manifest: dict, edges_path: Path) -> tuple[list[str], set[str]]:
+    """The argv, without --out, that reruns a manifest, and the keys it
+    leaves over. A key naming a runner parameter or a NoiseParams rate
+    becomes its option, seed or master_seed becomes --seed, and edges
+    becomes a --topology file written to edges_path."""
+    left = dict(manifest)
+    sub = left.pop("experiment")
+    runner = (experiments.run_network_experiment if sub in ("chain-run", "grid-run")
+              else getattr(experiments, "run_" + sub.replace("-", "_")))
+    names = set(inspect.signature(runner).parameters) | set(vars(NoiseParams()))
+    argv = [sub]
+    if "edges" in left:
+        edges_path.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in left.pop("edges")))
+        argv += ["--topology", str(edges_path)]
+    for key in sorted(left):
+        if key == "seed" or key in names:  # names holds master_seed
+            value = left.pop(key)
+            flag = "--seed" if key.endswith("seed") else "--" + key.replace("_", "-")
+            argv += [flag, *map(repr, value if isinstance(value, list) else [value])]
+    return argv, set(left)
+
+
+@pytest.mark.parametrize("argv, names", TINY_RUNS, ids=[run[0][0] for run in TINY_RUNS])
+def test_manifest_reruns_its_run(tmp_path, capsys, argv, names):
+    """The argv built from a run's manifest alone writes the same stdout
+    and files, and every manifest key it does not map is a derived constant."""
+    out = tmp_path / "run"
+
+    def run(args) -> dict:
+        shutil.rmtree(out, ignore_errors=True)
+        assert main([args[0], "--out", str(out), *args[1:]]) == 0
+        return {"stdout": capsys.readouterr().out,
+                **{p.name: p.read_bytes() for p in out.iterdir()}}
+
+    first = run(argv)
+    again, left = argv_from_manifest(json.loads(first["manifest.json"]),
+                                     tmp_path / "run.edges")
+    assert left == DERIVED.get(argv[0], set())
+    assert run(again) == first
 
 
 SUBCOMMANDS = [run[0][0] for run in TINY_RUNS]

@@ -802,6 +802,95 @@ class TestTopologyList:
             simulate_sphere(np.ones((4, 2)), chain(4), IntegratorConfig(t_max=0.1))
 
 
+class TestProtocolList:
+    """A list of B protocols and of B gains gives each (B, N, 2) member
+    its own; the batch is checked as a whole before the first step."""
+
+    INSIDE = np.array([[0, 0, 1], [0.6, 0, 0.8], [0, 0.6, 0.8]])
+    OUTSIDE = np.array([[0, 0, 1], [1, 0, 0], [0, 0, -1.0]])
+
+    def _kets(self, *points):
+        return np.array([[ket_from_bloch(u) for u in p] for p in points])
+
+    @pytest.mark.parametrize("protocols, topologies, gains, match", [
+        (["chain", "geometry"], chain(3), 1.0, "2 protocols need a"),
+        ("chain", chain(3), [1.0, 2.0], "2 gains need a"),
+        (["chain", "geometry", "chain"], [chain(3), complete(3), complete(3)], 1.0,
+         r"chain topology \(batch members \[2\]\)$"),
+        (["geometry", "chain", "chain"], complete(3), 1.0,
+         r"chain topology \(batch members \[1, 2\]\)$"),
+        (["chain", "geometry", "chain"], [chain(3), Topology(np.array(
+            [[0, 1, 0], [1, 0, 0], [0, 0, 0.0]])), chain(3)], 1.0,
+         r"connected topology \(batch members \[1\]\)$"),
+        (["chain", "min-time", "chain"], chain(3), 1.0, "exactly 2 qubits"),
+        (["chain", "bogus", "chain"], chain(3), 1.0, "unknown protocol 'bogus'"),
+    ])
+    def test_rejects_a_bad_batch(self, protocols, topologies, gains, match):
+        kets = self._kets(self.INSIDE, self.INSIDE, self.INSIDE)
+        with pytest.raises(ValueError, match=match):
+            simulate_network(kets, topologies, protocols, IntegratorConfig(t_max=0.1),
+                             gain=gains)
+
+    @pytest.mark.parametrize("protocols, gains", [(["chain"], 1.0), ("chain", [1.0])])
+    def test_rejects_a_list_with_unbatched_kets(self, protocols, gains):
+        with pytest.raises(ValueError, match="batch of kets"):
+            simulate_network(self._kets(self.INSIDE)[0], chain(3), protocols,
+                             IntegratorConfig(t_max=0.1), gain=gains)
+
+    @pytest.mark.parametrize("protocol", ["chain", "geometry"])
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    def test_rejects_a_non_finite_gain_before_stepping(self, monkeypatch, protocol, gain):
+        def no_step(*args):
+            raise AssertionError("stepped with a non-finite gain")
+
+        monkeypatch.setattr(dynamics, "_step_kets", no_step)
+        kets = self._kets(self.INSIDE, self.INSIDE)
+        with pytest.raises(ValueError, match="gain must be finite"):
+            simulate_network(kets, chain(3), protocol, IntegratorConfig(t_max=0.1),
+                             gain=gain)
+        if np.ndim(gain) == 0:
+            with pytest.raises(ValueError, match="gain must be finite"):
+                simulate_network(kets[0], chain(3), protocol,
+                                 IntegratorConfig(t_max=0.1), gain=gain)
+
+    def test_hemisphere_warning_names_only_geometric_members(self):
+        kets = self._kets(self.OUTSIDE, self.OUTSIDE, self.INSIDE)
+        cfg = IntegratorConfig(t_max=0.01)
+        with pytest.warns(UserWarning, match=r"members \[1\] are not"):
+            simulate_network(kets, [chain(3), complete(3), complete(3)],
+                             ["chain", "geometry", "geometry"], cfg)
+        with pytest.warns(UserWarning, match=r"members \[0\] are not"):
+            simulate_network(kets[1:], [complete(3), chain(3)], "geometry", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_network(kets, chain(3), ["chain", "chain", "geometry"], cfg)
+
+    def test_w_max_only_for_all_chain_batches(self):
+        kets = self._kets(self.INSIDE, self.OUTSIDE)
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.1)
+        for protocols, has in [(["chain", "chain"], True), (["chain", "geometry"], False),
+                               (["geometry", "geometry"], False)]:
+            for run in simulate_network(kets[[0, 0]], chain(3), protocols, cfg):
+                assert ("W_max" in run.metrics) == has
+
+    @pytest.mark.parametrize("gains, whole", [([1.5, 1.5], True), ([1.5, 1.0], False)])
+    def test_one_protocol_list_steps_without_slices(self, monkeypatch, gains, whole):
+        # a list naming one protocol and one gain takes the shared path:
+        # each step's axes come from the stepped array itself, not a slice
+        calls = []
+        axes, step = dynamics.chain_axes, dynamics._step_kets
+        monkeypatch.setattr(dynamics, "chain_axes",
+                            lambda x: calls.append(("axes", x)) or axes(x))
+        monkeypatch.setattr(dynamics, "_step_kets",
+                            lambda x, a, dt: calls.append(("step", x)) or step(x, a, dt))
+        kets = self._kets(self.INSIDE, self.OUTSIDE)
+        simulate_network(kets, chain(3), ["chain", "chain"], IntegratorConfig(t_max=0.01),
+                         gain=gains)
+        assert "".join(kind[0] for kind, _ in calls) == ("as" if whole else "aas") * 10
+        if whole:
+            assert all(a is x for (_, a), (_, x) in zip(calls[::2], calls[1::2]))
+
+
 class TestStopMetric:
     def test_unknown_metric_rejected_before_stepping(self, monkeypatch):
         def no_step(*args):

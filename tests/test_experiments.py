@@ -78,9 +78,12 @@ def test_qcme_compare_geometry_batch_equals_per_topology_runs():
         np.random.default_rng([0, 2, s]), 3, experiments.QCME_CAP_ANGLE))
         for s in seeds])
     cfg = IntegratorConfig(sample_every=20, **kwargs)
-    # both edge sets step as one batch; each equals its own topology's run
-    for key, t in (("chain_geo", chain(3)), ("full_geo", complete(3))):
-        trajs = simulate_network(kets, t, "geometry", cfg, gain=2.0)
+    # the chain protocol and the geometric one on both edge sets step as
+    # one batch; each equals its own one-protocol, one-topology run
+    for key, t, protocol, gain in (("chain_eq", chain(3), "chain", 1.0),
+                                   ("chain_geo", chain(3), "geometry", 2.0),
+                                   ("full_geo", complete(3), "geometry", 2.0)):
+        trajs = simulate_network(kets, t, protocol, cfg, gain=gain)
         for cell, traj in zip(cells, trajs, strict=True):
             ts, ds = cell["series"][key]
             np.testing.assert_array_equal(ts, traj.sample_times)

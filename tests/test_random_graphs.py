@@ -1,21 +1,23 @@
 """Properties over random connected weighted graphs: the edge-list
-(manifest) round trip and the quantum/sphere twin agreement."""
+(manifest) round trip, the quantum/sphere twin agreement, mixed-protocol
+batches and unit norm over long runs."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubitnet.dynamics import IntegratorConfig, simulate_network, simulate_sphere
 from qubitnet.experiments import hemisphere_points, kets_from_points
-from qubitnet.topology import Topology, from_edge_list, is_connected
+from qubitnet.topology import Topology, chain, from_edge_list, is_connected
 
 
 @st.composite
-def connected_graphs(draw):
-    """A random spanning tree on 2 to 8 nodes, each node after the first
-    joined to an earlier one of a random order, plus any extra edges;
-    every weight in [0.1, 2]."""
-    n = draw(st.integers(2, 8))
+def connected_graphs(draw, n=None):
+    """A random spanning tree on n nodes (2 to 8 if None), each node after
+    the first joined to an earlier one of a random order, plus any extra
+    edges; every weight in [0.1, 2]."""
+    n = draw(st.integers(2, 8)) if n is None else n
     order = draw(st.permutations(range(n)))
     edges = {tuple(sorted((order[k], order[draw(st.integers(0, k - 1))])))
              for k in range(1, n)}
@@ -54,3 +56,55 @@ def test_twin_agreement(t, seed):
     sphere = simulate_sphere(points, t, cfg)
     assert cfg.n_steps == 500
     assert np.max(np.abs(quantum.bloch() - sphere.samples)) < 1e-12
+
+
+@st.composite
+def mixed_batches(draw, protocols, max_size=4):
+    """(kets, topologies, protocols, gains) of a (B, N, 2) batch: chain
+    members on chain(N), geometric ones on connected graphs, min-time ones
+    (N = 2 only) on chain(2), in a random order, each with its own gain in
+    [0.5, 2] and hemisphere start."""
+    n = draw(st.integers(2, 6))
+    kinds = [p for p in protocols if p != "min-time" or n == 2]
+    members = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_size))
+    topologies = [draw(connected_graphs(n)) if p == "geometry" else chain(n) for p in members]
+    gains = [draw(st.floats(0.5, 2.0)) for _ in members]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kets = np.array([kets_from_points(hemisphere_points(rng, n)) for _ in members])
+    return kets, topologies, members, gains
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_batches(("chain", "geometry", "min-time")), st.sampled_from([None, 0.05]))
+def test_mixed_batch_members_equal_their_one_protocol_runs(batch, threshold):
+    """Each member of a batch with a protocol and a gain per member
+    equals its own one-protocol run, bit for bit (-0.0 is not 0.0)."""
+    kets, topologies, protocols, gains = batch
+    cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=7,
+                           stop_threshold=threshold, stop_metric="pure_state_error")
+    runs = simulate_network(kets, topologies, protocols, cfg, gain=gains)
+    chain_only = set(protocols) == {"chain"}
+    for member, t, p, g, run in zip(kets, topologies, protocols, gains, runs, strict=True):
+        one = simulate_network(member, t, p, cfg, gain=g)
+        assert set(run.metrics) == {"V", "pure_state_error"} | ({"W_max"} if chain_only else set())
+        assert run.stop_reason == one.stop_reason
+        for got, want in [(run.sample_times, one.sample_times), (run.samples, one.samples),
+                          (run.metrics["V"], one.metrics["V"]),
+                          (run.metrics["pure_state_error"], one.metrics["pure_state_error"])]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("protocols", [("chain",), ("geometry",), ("chain", "geometry")])
+@settings(max_examples=1, deadline=None)
+@given(data=st.data())
+def test_kets_stay_unit_over_ten_thousand_steps(protocols, data):
+    """Every ket norm stays within 1e-13 of 1 over 10^4 steps of a chain,
+    geometric or mixed batch: the step is exactly unitary up to rounding."""
+    kets, topologies, members, gains = data.draw(mixed_batches(protocols, max_size=6))
+    if len(protocols) == 2:  # a mixed batch holds both protocols
+        assume(len(set(members)) == 2)
+    cfg = IntegratorConfig(dt=1e-2, t_max=100.0, sample_every=1000)
+    assert cfg.n_steps == 10_000
+    for run in simulate_network(kets, topologies, members, cfg, gain=gains):
+        assert run.sample_times[-1] == 100.0
+        assert np.max(np.abs(np.linalg.norm(run.samples, axis=-1) - 1.0)) < 1e-13
