@@ -12,9 +12,12 @@ that fails leaves no directory behind.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import threading
+import warnings
 
 import numpy as np
 
@@ -102,6 +105,37 @@ def write_run(out_dir: str, manifest: dict, tables=None, docs=None) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+def _exit_with_parent():
+    """Worker initializer: end this worker once its parent has gone, even if killed."""
+    from multiprocessing import parent_process
+    sentinel = parent_process().sentinel  # reads empty once the parent has gone
+    threading.Thread(target=lambda: os.read(sentinel, 1) or os._exit(1), daemon=True).start()
+
+
+def _recording(call):
+    with warnings.catch_warnings(record=True) as caught:
+        return call(), [(w.message, w.filename, w.lineno) for w in caught]
+
+
+def run_calls(calls: list) -> list:
+    """The results of independent picklable calls, in call order, from one forked
+    worker per core of the affinity mask; a worker's warnings and error recur here."""
+    workers = min(len(calls), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else 1)
+    import multiprocessing
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [call() for call in calls]
+    from concurrent.futures import ProcessPoolExecutor
+    results = []
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             _exit_with_parent) as pool:
+        for result, caught in pool.map(_recording, calls):
+            for message, filename, lineno in caught:
+                warnings.warn_explicit(message, type(message), filename, lineno)
+            results.append(result)
+    return results
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -228,7 +262,9 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
 
     The seeds run as one batch, but each cell's random stream depends
     only on the master seed and the cell coordinates, so cells can run
-    in any order, grouping or in parallel.
+    in any order, grouping or in parallel: run_scaling_sweep runs each
+    size in a forked worker, one worker per core of the affinity mask
+    (`taskset -c 0` runs them in turn; there is no option).
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown scaling kind {kind!r}")
@@ -260,18 +296,16 @@ def run_scaling_sweep(
     for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)):
         if sizes and min(sizes) < 2:
             raise ValueError(f"{kind} sizes must be at least 2, got {min(sizes)}")
-    rows = []
-    medians: dict[str, dict[int, float]] = {"chain": {}, "grid": {}}
-    for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)):
-        for size in sizes:
-            vals = scaling_cells(kind, size, range(n_seeds), master_seed, dt)
-            if any(v is None for v in vals):
-                raise RuntimeError(f"{kind} size {size}: a seed did not settle")
-            med = float(np.median(vals))
-            n_qubits = size if kind == "chain" else size * size
-            medians[kind][n_qubits] = med
-            for s, v in enumerate(vals):
-                rows.append((kind, size, n_qubits, s, v))
+    cells = [(kind, size, size if kind == "chain" else size * size)
+             for kind, sizes in (("chain", chain_sizes), ("grid", grid_sides)) for size in sizes]
+    order = sorted(cells, key=lambda cell: -cell[2])  # largest network first
+    settled = dict(zip(order, run_calls([functools.partial(
+        scaling_cells, kind, size, range(n_seeds), master_seed, dt) for kind, size, _ in order])))
+    for kind, size, _ in (cell for cell in cells if None in settled[cell]):
+        raise RuntimeError(f"{kind} size {size}: a seed did not settle")
+    medians = {kind: {n: float(np.median(settled[k, s, n])) for k, s, n in cells if k == kind}
+               for kind in ("chain", "grid")}
+    rows = [(*cell, s, v) for cell in cells for s, v in enumerate(settled[cell])]
 
     write_run(out_dir, {
         "experiment": "scaling-sweep", "chain_sizes": list(chain_sizes),
@@ -482,8 +516,8 @@ def run_sphere_twin_check(
         hemisphere_points(np.random.default_rng([master_seed, 5, s]), t.n)
         for s in range(n_seeds)])
     kets = np.array([kets_from_points(p) for p in pts])
-    quantum = simulate_network(kets, t, "geometry", cfg)
-    sphere = simulate_sphere(pts, t, cfg)
+    quantum, sphere = run_calls([functools.partial(simulate_network, kets, t, "geometry", cfg),
+                                 functools.partial(simulate_sphere, pts, t, cfg)])
     devs = [float(np.max(np.abs(tq.bloch() - tc.samples)))
             for tq, tc in zip(quantum, sphere)]
     write_run(out_dir, {

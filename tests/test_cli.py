@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -530,6 +531,18 @@ class TestInputValidation:
         doc = json.loads(err)
         assert doc == {"error": message, "type": "ValueError"}
         assert not out.exists()
+
+    def test_error_in_a_sweep_worker_is_the_json_error(self, tmp_path, capsys):
+        # both cells fail in scaling_cells, each in its own forked worker
+        out = tmp_path / "s"
+        assert main(["scaling-sweep", "--out", str(out), "--dt", "1e6", "--chain-sizes",
+                     "5", "--grid-sides", "3", "--n-seeds", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "t_max must be at least one step",
+                                   "type": "ValueError"}
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_samples_that_cannot_fit_are_rejected_at_once(self, tmp_path, capsys):
         # 5e10 steps sampled every 5: rejected before the first step
