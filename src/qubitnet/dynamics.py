@@ -249,7 +249,7 @@ def _batch(states, width: int) -> tuple[np.ndarray, bool]:
     return states, states.ndim == 3
 
 
-def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
+def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_samples=True):
     """Shared stepping driver over one (N, .) run or a batch (B, ...) with
     its members on the leading axis.
 
@@ -267,8 +267,9 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
     in per_sample are evaluated at every kept sample. The others are
     computed after the run over the stacked samples, in blocks of at most
     _SERIES_BLOCK samples x members x N^2, so their temporaries stay small.
+    A run with keep_samples False keeps no snapshot, only its stop series.
 
-    Kept samples may take at most _MAX_SAMPLE_BYTES. A run without a stop
+    What a run keeps may take at most _MAX_SAMPLE_BYTES. A run without a stop
     threshold that would keep more is rejected before its first step; a
     run with one raises at the sample that goes over, so a run that stops
     early is not rejected for what it would have kept without a stop.
@@ -279,6 +280,8 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
         if stop not in series:
             raise ValueError(f"unknown stop_metric {stop!r}; "
                              f"this run records {sorted(series)}")
+    elif not keep_samples:
+        raise ValueError("a run that keeps no samples needs a stop_threshold")
     n_steps = cfg.n_steps
     limit = f"{_MAX_SAMPLE_BYTES / 2**30:g} GiB limit"
     sample_bytes = (n_steps // cfg.sample_every + 2) * x.nbytes
@@ -287,16 +290,18 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
                          f"{sample_bytes / 2**30:.3g} GiB of samples, over the {limit}; "
                          "raise dt or lower t_max")
     single = x.ndim == 2
-    steps, snaps = [0], [x]
-    live = {m: [f(x)] for m, f in series.items() if m == stop or m in per_sample}
+    steps, snaps = [0], [x] if keep_samples else []
+    live = {m: [f(x)] for m, f in series.items() if m == stop or keep_samples and m in per_sample}
+    kept = x.nbytes if keep_samples else live[stop][0].nbytes  # bytes a sample keeps
     ends = np.full(1 if single else x.shape[0], -1)  # last sample index of each member
     for k in range(1, n_steps + 1):
         x = step(x)
         if k % cfg.sample_every and k != n_steps:
             continue
         steps.append(k)
-        snaps.append(x)
-        if len(snaps) * x.nbytes > _MAX_SAMPLE_BYTES:
+        if keep_samples:
+            snaps.append(x)
+        if len(steps) * kept > _MAX_SAMPLE_BYTES:
             raise ValueError(f"after {k} of {n_steps} steps the kept samples went over "
                              f"the {limit} with a member not yet below the "
                              f"{stop} threshold; raise dt or the threshold")
@@ -307,17 +312,19 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=()):
             if (ends >= 0).all():
                 break
     times = np.array(steps) * cfg.dt
-    done = {m: np.column_stack(values) for m, values in live.items()}  # (B, S)
+    metrics = {m: np.column_stack(values) for m, values in live.items()}  # (B, S)
     del live  # its lists go, like the snapshots, before the samples are copied
-    axis = 0 if single else 1  # one (B, S, ...) copy of the (N, .) or (B, N, ...)
-    # snapshots, without the per-snapshot views np.stack would make
-    samples = np.concatenate(snaps, axis=axis).reshape(len(ends), len(snaps), *x.shape[axis:])
-    del snaps  # so the kept samples are held twice only while they are copied
-    block = max(1, _SERIES_BLOCK // (x.size // x.shape[-1] * x.shape[-2]))
-    parts = np.split(samples, range(block, len(steps), block), axis=1)
-    metrics = {m: done[m] if m in done
-               else np.concatenate([f(part) for part in parts], axis=-1)
-               for m, f in series.items()}
+    samples = None
+    if snaps:
+        axis = 0 if single else 1  # one (B, S, ...) copy of the (N, .) or (B, N, ...)
+        # snapshots, without the per-snapshot views np.stack would make
+        samples = np.concatenate(snaps, axis=axis).reshape(len(ends), len(snaps), *x.shape[axis:])
+        del snaps  # so the kept samples are held twice only while they are copied
+        block = max(1, _SERIES_BLOCK // (x.size // x.shape[-1] * x.shape[-2]))
+        parts = np.split(samples, range(block, len(steps), block), axis=1)
+        metrics = {m: metrics[m] if m in metrics
+                   else np.concatenate([f(part) for part in parts], axis=-1)
+                   for m, f in series.items()}
     runs = _members(times, samples, metrics, ends)
     return runs[0] if single else runs
 
@@ -339,6 +346,7 @@ def simulate_network(
     protocol: str | list[str],
     cfg: IntegratorConfig,
     gain: float | list[float] = 1.0,
+    keep_samples: bool = True,
 ) -> Trajectory | list[Trajectory]:
     """Synchronous closed-loop run of consensus protocols over qubit networks.
 
@@ -355,6 +363,7 @@ def simulate_network(
     gain 1 the Bloch flow equals the projected-sum sphere flow exactly
     (factor-2 rotation-rate reconciliation); gain 2 reproduces the bare
     H = n . sigma protocol.
+    keep_samples False keeps no kets, only the stop series (see _integrate).
     """
     kets, batched = _batch(np.array(kets0, dtype=complex), 2)
     n, size = kets.shape[-2], len(kets) if batched else 1
@@ -432,12 +441,11 @@ def simulate_network(
 
     series = {"V": _consecutive_v,
               "pure_state_error": lambda x: _pairwise_error(_bloch_batch(x))}
-    if protocols != ["chain"] * size:
-        return _integrate(kets, step, series, cfg)
-    # W_max (all-chain batches only) stays per sample: bench/selftest.py pins a 50-step
-    # chain-run at 61 chain_axes calls (50 steps + 11 samples); stacked, that pin reads 51.
-    series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
-    return _integrate(kets, step, series, cfg, per_sample=("W_max",))
+    if protocols == ["chain"] * size:
+        # W_max (all-chain batches only) stays per sample: bench/selftest.py pins a 50-step
+        # chain-run at 61 chain_axes calls (50 steps + 11 samples); stacked, that pin reads 51.
+        series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
+    return _integrate(kets, step, series, cfg, series.keys() & {"W_max"}, keep_samples)
 
 
 def simulate_sphere(

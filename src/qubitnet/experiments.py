@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import threading
 import warnings
 
@@ -36,10 +37,6 @@ from .protocols import min_time
 from .topology import Topology, chain, complete, grid
 
 QCME_CAP_ANGLE = 0.8  # cap radius (rad) for qcme-compare initial spreads
-# Heatmap cells stepped as one batch. A batch returns every member's
-# full trajectory at once, about 0.5 MB per cell at the default dt, so
-# the 1024 cells of the default map run in batches, not all together.
-HEATMAP_BATCH = 64
 HEATMAP_V_THRESHOLD = 1e-5  # V at which a heatmap cell counts as settled
 
 
@@ -107,34 +104,64 @@ def write_run(out_dir: str, manifest: dict, tables=None, docs=None) -> None:
         fh.write("\n")
 
 
-def _exit_with_parent():
-    """Worker initializer: end this worker once its parent has gone, even if killed."""
-    from multiprocessing import parent_process
-    sentinel = parent_process().sentinel  # reads empty once the parent has gone
-    threading.Thread(target=lambda: os.read(sentinel, 1) or os._exit(1), daemon=True).start()
-
-
 def _recording(call):
     with warnings.catch_warnings(record=True) as caught:
         return call(), [(w.message, w.filename, w.lineno) for w in caught]
 
 
 def run_calls(calls: list) -> list:
-    """The results of independent picklable calls, in call order, from one forked
-    worker per core of the affinity mask; a worker's warnings and error recur here."""
+    """The results of independent calls, in call order, from this process and one
+    forked child per further core of the affinity mask, dealt round-robin. Children's
+    warnings and errors recur here; an error here kills and reaps every child first."""
     workers = min(len(calls), len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else 1)
-    import multiprocessing
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or not hasattr(os, "fork"):
         return [call() for call in calls]
-    from concurrent.futures import ProcessPoolExecutor
+    alive, held = fds = list(os.pipe())  # alive reads empty once this process has gone
+    running = []
+    try:
+        for w in range(1, workers):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child sends its calls' records, or its error, and exits
+                try:
+                    os.close(held)
+                    threading.Thread(target=lambda: os.read(alive, 1) or os._exit(1),
+                                     daemon=True).start()
+                    try:
+                        share = [_recording(call) for call in calls[w::workers]]
+                    except BaseException as exc:  # raised again in the parent
+                        share = exc
+                    with open(fds[-1], "wb") as fh:
+                        pickle.dump(share, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            running.append(pid)
+            os.close(fds.pop())  # the child's end
+        shares = [[_recording(call) for call in calls[::workers]]]
+        for pid, fd in zip(list(running), fds[2:]):
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code or not data:
+                raise RuntimeError(f"forked worker {pid} sent no results (exit status {code})")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid in running:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
     results = []
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             _exit_with_parent) as pool:
-        for result, caught in pool.map(_recording, calls):
-            for message, filename, lineno in caught:
-                warnings.warn_explicit(message, type(message), filename, lineno)
-            results.append(result)
+    for i in range(len(calls)):
+        share = shares[i % workers]
+        if isinstance(share, BaseException):
+            raise share
+        result, caught = share[i // workers]
+        for message, filename, lineno in caught:
+            warnings.warn_explicit(message, type(message), filename, lineno)
+        results.append(result)
     return results
 
 
@@ -179,10 +206,9 @@ def run_min_time_heatmap(
     kets = np.array([[ket_from_angles(theta, phi1),
                       ket_from_angles(theta, phi1 + dphi)]
                      for theta, dphi, phi1 in cells])
-    t1s = []
-    for i in range(0, len(cells), HEATMAP_BATCH):
-        trajs = simulate_network(kets[i:i + HEATMAP_BATCH], chain(2), "chain", cfg)
-        t1s += [settling_time(traj, spec) for traj in trajs]
+    # one batch: a run without samples keeps only each cell's V series
+    t1s = [settling_time(traj, spec) for traj in
+           simulate_network(kets, chain(2), "chain", cfg, keep_samples=False)]
 
     def bloch(theta: float, phi: float) -> np.ndarray:
         return np.array([math.sin(theta) * math.cos(phi),
@@ -260,11 +286,11 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
                   dt: float = 5e-3) -> list[float | None]:
     """Settling times of the (topology size, seed) sweep cells of one size.
 
-    The seeds run as one batch, but each cell's random stream depends
-    only on the master seed and the cell coordinates, so cells can run
-    in any order, grouping or in parallel: run_scaling_sweep runs each
-    size in a forked worker, one worker per core of the affinity mask
-    (`taskset -c 0` runs them in turn; there is no option).
+    The seeds run as one batch keeping only its stop series, but each
+    cell's random stream depends only on the master seed and the cell
+    coordinates, so cells can run in any order, grouping or in parallel:
+    run_scaling_sweep deals the sizes to this process and one forked child
+    per further core of the affinity mask (`taskset -c 0`: all here).
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown scaling kind {kind!r}")
@@ -277,7 +303,7 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
         for s in seeds])
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10,
                            stop_threshold=1e-2, stop_metric=metric)
-    trajs = simulate_network(kets, t, protocol, cfg, gain=gain)
+    trajs = simulate_network(kets, t, protocol, cfg, gain=gain, keep_samples=False)
     spec = SettlingSpec(threshold=1e-2, metric=metric)
     return [settling_time(traj, spec) for traj in trajs]
 

@@ -33,7 +33,12 @@ from qubitnet.dynamics import (
     simulate_qcme,
     simulate_sphere,
 )
-from qubitnet.metrics import lyapunov_decay_terms, quantum_average
+from qubitnet.metrics import (
+    SettlingSpec,
+    lyapunov_decay_terms,
+    quantum_average,
+    settling_time,
+)
 from qubitnet.protocols import _CROSS_FORMS, chain_axes, geometry_axes
 from qubitnet.topology import Topology, chain, complete, from_edge_list, grid, is_chain
 
@@ -924,9 +929,10 @@ class TestStopMetric:
         assert runs["pure_state_error"] < runs["max_angle"]
 
 
-def _per_sample_driver(x, step, record, names, cfg):
+def _per_sample_driver(x, step, record, names, cfg, keep_samples=True):
     """The stepping driver as it was when record(x) gave every series at
-    every kept sample: the oracle of the split record."""
+    every kept sample: the oracle of the split record. Without samples a
+    run gives its stop series alone."""
     stop = None
     if cfg.stop_threshold is not None:
         stop = names.index(cfg.stop_metric)
@@ -947,13 +953,18 @@ def _per_sample_driver(x, step, record, names, cfg):
                 break
     times = np.array(steps) * cfg.dt
     if single:
-        return Trajectory(times, np.array(snaps), dict(zip(names, np.stack(values, axis=1))))
-    ends[ends < 0] = len(steps) - 1
-    samples = np.stack(snaps, axis=1)
-    series = np.stack(values, axis=2)
-    return [Trajectory(times[: e + 1], samples[b, : e + 1],
-                       dict(zip(names, series[:, b, : e + 1])))
-            for b, e in enumerate(ends)]
+        runs = [Trajectory(times, np.array(snaps), dict(zip(names, np.stack(values, axis=1))))]
+    else:
+        ends[ends < 0] = len(steps) - 1
+        samples = np.stack(snaps, axis=1)
+        series = np.stack(values, axis=2)
+        runs = [Trajectory(times[: e + 1], samples[b, : e + 1],
+                           dict(zip(names, series[:, b, : e + 1])))
+                for b, e in enumerate(ends)]
+    if not keep_samples:
+        runs = [Trajectory(r.sample_times, None,
+                           {cfg.stop_metric: r.metrics[cfg.stop_metric]}) for r in runs]
+    return runs[0] if single else runs
 
 
 def _network_record(protocol):
@@ -982,8 +993,8 @@ def _run_and_oracle(run, record, module=dynamics):
     """run() as it is, and run() with module._integrate swapped for the
     per-sample oracle driver fed by record."""
 
-    def oracle(x, step, series, cfg, per_sample=()):
-        return _per_sample_driver(x, step, record, tuple(series), cfg)
+    def oracle(x, step, series, cfg, per_sample=(), keep_samples=True):
+        return _per_sample_driver(x, step, record, tuple(series), cfg, keep_samples)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_integrate", oracle)
@@ -1000,7 +1011,8 @@ _SERIES_NAMES = {"chain": ["V", "pure_state_error", "W_max"],
 def split_runs(draw):
     """A chain, geometry or sphere run: B 1-5 members of N 2-6 qubits
     spread from identical to uniform, sample_every 1-7, no threshold or
-    one on any recorded series, and a series block from 1 sample up."""
+    one on any recorded series, and a series block from 1 sample up. A
+    network run with a threshold may keep no samples."""
     kind = draw(st.sampled_from(sorted(_SERIES_NAMES)))
     n, size = draw(st.integers(2, 6)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1020,7 +1032,8 @@ def split_runs(draw):
                            stop_threshold=threshold, stop_metric=metric or "V")
     topology = chain(n) if kind == "chain" else draw(st.sampled_from([chain(n), complete(n)]))
     block = draw(st.sampled_from([1, 40, 300, dynamics._SERIES_BLOCK]))
-    return kind, pts, topology, cfg, block
+    keep = kind == "sphere" or threshold is None or draw(st.booleans())
+    return kind, pts, topology, cfg, block, keep
 
 
 def _assert_equals_oracle(got, want, cfg):
@@ -1041,7 +1054,7 @@ class TestSplitRecord:
     @settings(max_examples=80, deadline=None)
     @given(split_runs())
     def test_equals_per_sample_oracle(self, case):
-        kind, pts, topology, cfg, block = case
+        kind, pts, topology, cfg, block, keep = case
         if kind == "sphere":
             def run():
                 return simulate_sphere(pts, topology, cfg)
@@ -1051,7 +1064,7 @@ class TestSplitRecord:
             kets = np.apply_along_axis(ket_from_bloch, -1, pts)
 
             def run():
-                return simulate_network(kets, topology, kind, cfg)
+                return simulate_network(kets, topology, kind, cfg, keep_samples=keep)
 
             record = _network_record(kind)
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
@@ -1110,6 +1123,81 @@ class TestSplitRecord:
         assert simulate_network(kets[0], chain(4), "chain", cfg).stop_reason == "threshold"
         unbounded = IntegratorConfig(dt=1e-2, t_max=0.1)
         assert simulate_network(kets[0], chain(4), "chain", unbounded).stop_reason == "t_max"
+
+
+@st.composite
+def stopped_runs(draw):
+    """A chain-pair batch or a small 2 x 2 grid batch (or a plain run of
+    either) with a stop threshold on V or pure_state_error."""
+    grid_run = draw(st.booleans())
+    size = draw(st.integers(1, 3 if grid_run else 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = _unit_rows(rng.normal(size=(size, 4 if grid_run else 2, 3)))
+    if grid_run:
+        pts[..., 2] = np.abs(pts[..., 2])  # in the upper hemisphere
+    kets = np.apply_along_axis(ket_from_bloch, -1, pts)
+    if size == 1 and draw(st.booleans()):
+        kets = kets[0]
+    metric = draw(st.sampled_from(["V", "pure_state_error"]))
+    cfg = IntegratorConfig(dt=draw(st.sampled_from([1e-2, 5e-2])),
+                           t_max=draw(st.sampled_from([0.5, 3.0, 20.0])),
+                           sample_every=draw(st.integers(1, 5)),
+                           stop_threshold=draw(st.floats(1e-4, 0.5)), stop_metric=metric)
+    if grid_run:
+        return kets, grid(2), "geometry", 2.0, cfg
+    return kets, chain(2), "chain", 1.0, cfg
+
+
+class TestRunsWithoutSamples:
+    """A run that keeps no samples keeps its stop series alone, bit for
+    bit the series and cut of the run that keeps them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stopped_runs())
+    def test_equals_the_sample_keeping_run(self, case):
+        kets, topology, protocol, gain, cfg = case
+        want = simulate_network(kets, topology, protocol, cfg, gain=gain)
+        got = simulate_network(kets, topology, protocol, cfg, gain=gain, keep_samples=False)
+        if kets.ndim == 2:
+            got, want = [got], [want]
+        spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
+        for g, w in zip(got, want, strict=True):
+            assert g.samples is None and list(g.metrics) == [cfg.stop_metric]
+            assert g.sample_times.tobytes() == w.sample_times.tobytes()
+            assert (g.metrics[cfg.stop_metric].tobytes()
+                    == w.metrics[cfg.stop_metric].tobytes())
+            assert settling_time(g, spec) == settling_time(w, spec)
+            assert g.stop_reason == w.stop_reason
+            with pytest.raises(ValueError, match="no per-qubit samples"):
+                g.bloch()
+
+    def test_needs_a_stop_threshold(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a run that records nothing")
+
+        monkeypatch.setattr(dynamics, "_step_kets", no_step)
+        kets = sphere_kets(np.random.default_rng(3), 2)
+        with pytest.raises(ValueError, match="needs a stop_threshold"):
+            simulate_network(kets, chain(2), "chain", IntegratorConfig(t_max=1.0),
+                             keep_samples=False)
+
+    def test_limit_is_on_the_kept_stop_series(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        kets = np.array([sphere_kets(rng, 4) for _ in range(3)])
+        cfg = IntegratorConfig(dt=1e-2, t_max=100.0, sample_every=5, stop_threshold=0.1)
+        want = simulate_network(kets, chain(4), "chain", cfg, keep_samples=False)
+        kept = max(t.sample_times.size for t in want)
+        assert all(t.stop_reason == "threshold" for t in want)
+        # 8 bytes of V per member and sample, far less than the kets
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * 3 * 8)
+        got = simulate_network(kets, chain(4), "chain", cfg, keep_samples=False)
+        for g, w in zip(got, want):
+            assert g.sample_times.tobytes() == w.sample_times.tobytes()
+        with pytest.raises(ValueError, match="kept samples went over"):
+            simulate_network(kets, chain(4), "chain", cfg)
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * 3 * 8 - 1)
+        with pytest.raises(ValueError, match=f"after {5 * (kept - 1)} of 10000 steps"):
+            simulate_network(kets, chain(4), "chain", cfg, keep_samples=False)
 
 
 class TestSampleBudget:

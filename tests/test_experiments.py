@@ -1,6 +1,5 @@
 import functools
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -135,10 +134,28 @@ def _overflow():
     return np.float64(1e308) * 10.0
 
 
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _Stop(BaseException):
+    """Not an Exception, like the benchmark's SIGALRM timeout."""
+
+
+def _raise(error):
+    raise error
+
+
 @pytest.fixture
 def two_cores(monkeypatch):
     """An affinity mask of two cores, whatever this host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _assert_no_child():
+    """No child of this process remains, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_calls_returns_results_in_call_order(two_cores):
@@ -147,8 +164,8 @@ def test_run_calls_returns_results_in_call_order(two_cores):
              for delay, value in ((0.3, "a"), (0.0, "b"), (0.0, "c"))]
     got = experiments.run_calls(calls)
     assert [value for value, _ in got] == ["a", "b", "c"]
-    assert os.getpid() not in {pid for _, pid in got}
-    assert multiprocessing.active_children() == []
+    assert len({pid for _, pid in got}) == 2 and os.getpid() in {pid for _, pid in got}
+    _assert_no_child()
 
 
 def test_run_calls_equals_the_serial_path(two_cores):
@@ -167,7 +184,7 @@ def test_run_calls_raises_a_worker_error_here(two_cores, failing, error, message
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         with pytest.raises(error, match=message):
             experiments.run_calls([functools.partial(_pid_after, 0.0, "ok"), failing])
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_run_calls_reissues_worker_warnings_in_call_order(two_cores):
@@ -192,7 +209,38 @@ def test_run_calls_on_one_core_starts_no_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     got = experiments.run_calls([functools.partial(_pid_after, 0.0, v) for v in "ab"])
     assert got == [("a", os.getpid()), ("b", os.getpid())]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_run_calls_leaves_no_descriptor_or_child(two_cores):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for _ in range(100):
+        assert experiments.run_calls([functools.partial(_pid_after, 0.0, v)
+                                      for v in "ab"])[1][0] == "b"
+    assert open_fds() == before
+    _assert_no_child()
+
+
+def test_run_calls_raises_when_a_child_dies_mid_call(two_cores):
+    with pytest.raises(RuntimeError, match="exit status -9"):
+        experiments.run_calls([functools.partial(_pid_after, 0.0, "ok"), _kill_self])
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("error", [ValueError("here"), _Stop("here")],
+                         ids=["ValueError", "BaseException"])
+def test_an_error_here_reaps_every_child_first(two_cores, error):
+    # the child's call would sleep for a minute: it is killed, not awaited
+    start = time.monotonic()
+    with pytest.raises(type(error), match="here"):
+        experiments.run_calls([functools.partial(_raise, error),
+                               functools.partial(_pid_after, 60.0, "late")])
+    assert time.monotonic() - start < 30
+    _assert_no_child()
 
 
 def _running(pid):
