@@ -343,21 +343,19 @@ def _members(times, samples, metrics, ends) -> list[Trajectory]:
 def simulate_network(
     kets0,
     t: Topology | list[Topology],
-    protocol: str | list[str],
+    protocol: str,
     cfg: IntegratorConfig,
-    gain: float | list[float] = 1.0,
+    gain: float = 1.0,
     keep_samples: bool = True,
 ) -> Trajectory | list[Trajectory]:
-    """Synchronous closed-loop run of consensus protocols over qubit networks.
+    """Synchronous closed-loop run of one consensus protocol over qubit networks.
 
     kets0 of shape (N, 2) gives one Trajectory. A (B, N, 2) batch runs
     B independent networks in one pass and gives one Trajectory per
     member, each matching its one-member run and cut at its own stop
-    sample. The members share the topology t, the protocol and the gain,
-    or each is a list of B, one per member: one network batch, per-member
-    protocol and gain. Each run of consecutive members with one protocol
-    and one gain gets its axes from its own slice, and one _step_kets
-    call steps the whole batch.
+    sample. Every member runs the one protocol with the one gain; t is
+    one topology for all of them or a list of B, one per member. A list
+    given as protocol or gain is a ValueError before the first step.
 
     The geometry branch applies H = (gain/2) n . sigma so that with
     gain 1 the Bloch flow equals the projected-sum sphere flow exactly
@@ -366,85 +364,66 @@ def simulate_network(
     keep_samples False keeps no kets, only the stop series (see _integrate).
     """
     kets, batched = _batch(np.array(kets0, dtype=complex), 2)
-    n, size = kets.shape[-2], len(kets) if batched else 1
-    lists = (not isinstance(t, Topology), not isinstance(protocol, str), np.ndim(gain) > 0)
-    topologies, protocols, gains = (list(v) if many else [v] * size
-                                    for v, many in zip((t, protocol, gain), lists))
-    for what, values, many in zip(("topologies", "protocols", "gains"),
-                                  (topologies, protocols, gains), lists):
-        if many and (not batched or len(values) != size):
-            raise ValueError(f"{len(values)} {what} need a ({len(values)}, N, 2) "
-                             f"batch of kets, got {kets.shape}")
-    listed = lists[0]
+    n = kets.shape[-2]
+    listed = not isinstance(t, Topology)
+    topologies = list(t) if listed else [t]
+    if listed and (not batched or len(topologies) != len(kets)):
+        raise ValueError(f"{len(topologies)} topologies need a ({len(topologies)}, N, 2) "
+                         f"batch of kets, got {kets.shape}")
 
-    def check(ok, message, kind=None):
-        """Raise naming the members on protocol kind (any if None) failing ok."""
-        members = [b for b, p in enumerate(protocols) if kind in (None, p)]
-        bad = ([b for b in members if not ok(topologies[b])] if listed
-               else members if members and not ok(t) else [])
+    def check(ok, message):
+        """Raise naming the batch members whose topology fails ok."""
+        bad = [b for b, tb in enumerate(topologies) if not ok(tb)]
         if bad:
-            raise ValueError(message + (f" (batch members {bad})" if any(lists) else ""))
+            raise ValueError(message + (f" (batch members {bad})" if listed else ""))
 
     check(lambda tb: tb.n == n, f"{n} kets need a {n}-node topology")
     if np.max(np.abs(np.linalg.norm(kets, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial kets must be normalized")
-    unknown = [p for p in protocols if p not in PROTOCOLS]
-    if unknown:
-        raise ValueError(f"unknown protocol {unknown[0]!r}, expected one of {PROTOCOLS}")
-    if not all(map(math.isfinite, gains)):
-        raise ValueError(f"gain must be finite, got {gain}")
-    check(is_chain, "chain protocol requires a chain topology", "chain")
-    check(lambda tb: np.all(tb.weights[tb.weights > 0] == 1.0),
-          "chain protocol requires unit edge weights; chain_axes takes none", "chain")
-    check(is_connected, "geometry protocol requires a connected topology", "geometry")
-    if n != 2 and "min-time" in protocols:
-        raise ValueError("min-time protocol is defined for exactly 2 qubits")
-    members = kets.reshape(-1, n, 2)
-    geo = [b for b, p in enumerate(protocols) if p == "geometry"]
-    if geo:
-        inside = in_open_hemisphere(_bloch_batch(members[geo]))
-        outside = [geo[i] for i in np.flatnonzero(~inside)]
-        if outside:
-            which = f" of batch members {outside}" if batched else ""
+    if protocol not in PROTOCOLS:  # a list of names is none of them
+        raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
+    if np.ndim(gain) or not math.isfinite(gain):
+        raise ValueError(f"gain must be finite and one float per call, got {gain!r}")
+    series = {"V": _consecutive_v,
+              "pure_state_error": lambda x: _pairwise_error(_bloch_batch(x))}
+
+    if protocol == "chain":
+        check(is_chain, "chain protocol requires a chain topology")
+        check(lambda tb: np.all(tb.weights[tb.weights > 0] == 1.0),
+              "chain protocol requires unit edge weights; chain_axes takes none")
+        # W_max stays per sample: bench/selftest.py pins a 50-step chain-run at
+        # 61 chain_axes calls (50 steps + 11 samples); stacked, that pin reads 51.
+        series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
+
+        def axes(x):
+            return gain * chain_axes(x)
+    elif protocol == "geometry":
+        check(is_connected, "geometry protocol requires a connected topology")
+        outside = np.flatnonzero(~in_open_hemisphere(_bloch_batch(kets.reshape(-1, n, 2))))
+        if outside.size:
+            which = f" of batch members {outside.tolist()}" if batched else ""
             warnings.warn(
                 f"initial Bloch vectors{which} are not strictly inside an open "
                 "hemisphere; convergence of the geometric protocol is not guaranteed",
                 stacklevel=2,
             )
+        weights = np.array([tb.weights for tb in topologies]) if listed else t
 
-    def run_axes(a: int, b: int):
-        """Axes of members a to b - 1, which share one protocol and one gain."""
-        p, g = keys[a]
-        if p == "chain":
-            return lambda x: g * chain_axes(x)
-        if p == "geometry":
-            weights = np.array([tb.weights for tb in topologies[a:b]]) if listed else t
-            return lambda x: (0.5 * g) * geometry_axes(_bloch_batch(x), weights)
-        fixed = g * np.array([np.stack(min_time_pair_hamiltonians(u[0], u[1]))
-                             for u in _bloch_batch(members[a:b])])
-        fixed = fixed if batched else fixed[0]  # one network's (2, 3) axes
-        return lambda x: fixed
-
-    dt = cfg.dt
-    keys = list(zip(protocols, gains))
-    starts = [b for b in range(size) if b == 0 or keys[b] != keys[b - 1]]
-    runs = [(a, b, run_axes(a, b)) for a, b in zip(starts, starts[1:] + [size])]
-
-    if len(runs) == 1:  # one protocol and gain: no slice, no concatenate
-        axes = runs[0][2]
-
-        def step(x):
-            return _step_kets(x, axes(x), dt)
+        def axes(x):
+            return (0.5 * gain) * geometry_axes(_bloch_batch(x), weights)
     else:
-        def step(x):
-            return _step_kets(x, np.concatenate([axes(x[a:b]) for a, b, axes in runs]), dt)
+        if n != 2:
+            raise ValueError("min-time protocol is defined for exactly 2 qubits")
+        fixed = gain * np.array([np.stack(min_time_pair_hamiltonians(u[0], u[1]))
+                                 for u in _bloch_batch(kets.reshape(-1, 2, 2))])
+        fixed = fixed if batched else fixed[0]  # one network's (2, 3) axes
 
-    series = {"V": _consecutive_v,
-              "pure_state_error": lambda x: _pairwise_error(_bloch_batch(x))}
-    if protocols == ["chain"] * size:
-        # W_max (all-chain batches only) stays per sample: bench/selftest.py pins a 50-step
-        # chain-run at 61 chain_axes calls (50 steps + 11 samples); stacked, that pin reads 51.
-        series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
+        def axes(x):
+            return fixed
+
+    def step(x):
+        return _step_kets(x, axes(x), cfg.dt)
+
     return _integrate(kets, step, series, cfg, series.keys() & {"W_max"}, keep_samples)
 
 

@@ -129,11 +129,11 @@ def run_calls(calls: list) -> list:
                     threading.Thread(target=lambda: os.read(alive, 1) or os._exit(1),
                                      daemon=True).start()
                     try:
-                        share = [_recording(call) for call in calls[w::workers]]
-                    except BaseException as exc:  # raised again in the parent
-                        share = exc
+                        data = pickle.dumps([_recording(call) for call in calls[w::workers]])
+                    except BaseException as exc:  # a pickling error too: raised in the parent
+                        data = pickle.dumps(exc)
                     with open(fds[-1], "wb") as fh:
-                        pickle.dump(share, fh)
+                        fh.write(data)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -373,10 +373,14 @@ def qcme_compare_cells(seeds, master_seed: int, cap: float = QCME_CAP_ANGLE,
                        dt: float = 1e-3, t_max: float = 20.0) -> list[dict]:
     """Seeds of the three-way convergence-rate comparison at N = 3.
 
-    All seeds run as one network batch with a protocol and a gain per
-    member, and as one QCME batch per edge set, but each seed's initial
-    states depend only on the master seed and the seed, so seeds can
-    run in any order or grouping.
+    Four independent calls through run_calls cover all seeds: the
+    geometric protocol (gain 2) as one network batch on the chain and
+    the complete graph, the chain protocol (gain 1) as one batch on the
+    chain, and one QCME batch per edge set. Each returns (sample times,
+    distance series) per member, so the product-state rebuild runs where
+    the call runs and only short series come back. Each seed's initial
+    states depend only on the master seed and the seed, so seeds can run
+    in any order or grouping.
     """
     points = np.array([cap_points(np.random.default_rng([master_seed, 2, s]), 3, cap)
                        for s in seeds])
@@ -388,21 +392,26 @@ def qcme_compare_cells(seeds, master_seed: int, cap: float = QCME_CAP_ANGLE,
     qcfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=20,
                             stop_threshold=1e-3, stop_metric="composite_distance")
 
+    def network(kets, t, protocol: str, gain: float) -> list:
+        return [(tr.sample_times, symmetric_distance_series(tr))
+                for tr in simulate_network(kets, t, protocol, cfg, gain=gain)]
+
     def qcme(topology: Topology) -> list:
         return [(tr.sample_times, tr.metrics["composite_distance"])
                 for tr in simulate_qcme(rho0, topology, qcfg)]
 
     size = len(kets)
-    network = [(tr.sample_times, symmetric_distance_series(tr)) for tr in simulate_network(
-        np.concatenate([kets] * 3), [t_line] * (2 * size) + [t_tri] * size,
-        ["chain"] * size + ["geometry"] * (2 * size), cfg,
-        gain=[1.0] * size + [2.0] * (2 * size))]
+    geo, chain_eq, chain_qcme, full_qcme = run_calls([  # the heaviest call first
+        functools.partial(network, np.concatenate([kets] * 2),
+                          [t_line] * size + [t_tri] * size, "geometry", 2.0),
+        functools.partial(network, kets, t_line, "chain", 1.0),
+        functools.partial(qcme, t_line), functools.partial(qcme, t_tri)])
     runs = {
-        "chain_eq": network[:size],
-        "chain_geo": network[size:2 * size],
-        "chain_qcme": qcme(t_line),
-        "full_geo": network[2 * size:],
-        "full_qcme": qcme(t_tri),
+        "chain_eq": chain_eq,
+        "chain_geo": geo[:size],
+        "chain_qcme": chain_qcme,
+        "full_geo": geo[size:],
+        "full_qcme": full_qcme,
     }
 
     def settle(ts: np.ndarray, ds: np.ndarray) -> float:

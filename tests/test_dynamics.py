@@ -808,8 +808,8 @@ class TestTopologyList:
 
 
 class TestProtocolList:
-    """A list of B protocols and of B gains gives each (B, N, 2) member
-    its own; the batch is checked as a whole before the first step."""
+    """One protocol and one gain per call: a list of either is rejected
+    before the first step, and the per-protocol rules hold per call."""
 
     INSIDE = np.array([[0, 0, 1], [0.6, 0, 0.8], [0, 0.6, 0.8]])
     OUTSIDE = np.array([[0, 0, 1], [1, 0, 0], [0, 0, -1.0]])
@@ -817,30 +817,28 @@ class TestProtocolList:
     def _kets(self, *points):
         return np.array([[ket_from_bloch(u) for u in p] for p in points])
 
-    @pytest.mark.parametrize("protocols, topologies, gains, match", [
-        (["chain", "geometry"], chain(3), 1.0, "2 protocols need a"),
-        ("chain", chain(3), [1.0, 2.0], "2 gains need a"),
-        (["chain", "geometry", "chain"], [chain(3), complete(3), complete(3)], 1.0,
-         r"chain topology \(batch members \[2\]\)$"),
-        (["geometry", "chain", "chain"], complete(3), 1.0,
-         r"chain topology \(batch members \[1, 2\]\)$"),
-        (["chain", "geometry", "chain"], [chain(3), Topology(np.array(
-            [[0, 1, 0], [1, 0, 0], [0, 0, 0.0]])), chain(3)], 1.0,
-         r"connected topology \(batch members \[1\]\)$"),
-        (["chain", "min-time", "chain"], chain(3), 1.0, "exactly 2 qubits"),
-        (["chain", "bogus", "chain"], chain(3), 1.0, "unknown protocol 'bogus'"),
-    ])
-    def test_rejects_a_bad_batch(self, protocols, topologies, gains, match):
-        kets = self._kets(self.INSIDE, self.INSIDE, self.INSIDE)
-        with pytest.raises(ValueError, match=match):
-            simulate_network(kets, topologies, protocols, IntegratorConfig(t_max=0.1),
-                             gain=gains)
-
     @pytest.mark.parametrize("protocols, gains", [(["chain"], 1.0), ("chain", [1.0])])
     def test_rejects_a_list_with_unbatched_kets(self, protocols, gains):
-        with pytest.raises(ValueError, match="batch of kets"):
+        with pytest.raises(ValueError, match="unknown protocol|one float per call"):
             simulate_network(self._kets(self.INSIDE)[0], chain(3), protocols,
                              IntegratorConfig(t_max=0.1), gain=gains)
+
+    @pytest.mark.parametrize("protocols, gains, match", [
+        (["chain", "chain"], 1.0, r"unknown protocol \['chain', 'chain'\]"),
+        (["chain", "geometry"], 1.0, r"unknown protocol \['chain', 'geometry'\]"),
+        ("chain", [1.0, 1.0], r"one float per call, got \[1.0, 1.0\]"),
+        ("geometry", (1.0, 2.0), r"one float per call, got \(1.0, 2.0\)"),
+    ], ids=["chain-list", "mixed-list", "gain-list", "gain-tuple"])
+    def test_rejects_a_protocol_or_gain_list_before_stepping(self, monkeypatch, protocols,
+                                                             gains, match):
+        def no_step(*args):
+            raise AssertionError("stepped with a protocol or gain list")
+
+        monkeypatch.setattr(dynamics, "_step_kets", no_step)
+        kets = self._kets(self.INSIDE, self.INSIDE)
+        with pytest.raises(ValueError, match=match):
+            simulate_network(kets, chain(3), protocols, IntegratorConfig(t_max=0.1),
+                             gain=gains)
 
     @pytest.mark.parametrize("protocol", ["chain", "geometry"])
     @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
@@ -859,41 +857,27 @@ class TestProtocolList:
                                  IntegratorConfig(t_max=0.1), gain=gain)
 
     def test_hemisphere_warning_names_only_geometric_members(self):
-        kets = self._kets(self.OUTSIDE, self.OUTSIDE, self.INSIDE)
+        kets = self._kets(self.INSIDE, self.OUTSIDE, self.INSIDE, self.OUTSIDE)
         cfg = IntegratorConfig(t_max=0.01)
-        with pytest.warns(UserWarning, match=r"members \[1\] are not"):
-            simulate_network(kets, [chain(3), complete(3), complete(3)],
-                             ["chain", "geometry", "geometry"], cfg)
+        with pytest.warns(UserWarning, match=r"members \[1, 3\] are not"):
+            simulate_network(kets, [chain(3), complete(3), complete(3), chain(3)],
+                             "geometry", cfg)
         with pytest.warns(UserWarning, match=r"members \[0\] are not"):
-            simulate_network(kets[1:], [complete(3), chain(3)], "geometry", cfg)
-        with warnings.catch_warnings():
+            simulate_network(kets[1:3], [complete(3), chain(3)], "geometry", cfg)
+        with pytest.warns(UserWarning, match=r"^initial Bloch vectors are not"):
+            simulate_network(kets[1], complete(3), "geometry", cfg)
+        with warnings.catch_warnings():  # the chain protocol makes no such claim
             warnings.simplefilter("error")
-            simulate_network(kets, chain(3), ["chain", "chain", "geometry"], cfg)
+            simulate_network(kets, chain(3), "chain", cfg)
 
     def test_w_max_only_for_all_chain_batches(self):
         kets = self._kets(self.INSIDE, self.OUTSIDE)
         cfg = IntegratorConfig(dt=1e-2, t_max=0.1)
-        for protocols, has in [(["chain", "chain"], True), (["chain", "geometry"], False),
-                               (["geometry", "geometry"], False)]:
-            for run in simulate_network(kets[[0, 0]], chain(3), protocols, cfg):
+        for protocol, has in [("chain", True), ("geometry", False)]:
+            runs = simulate_network(kets[[0, 0]], chain(3), protocol, cfg)
+            runs.append(simulate_network(kets[0], chain(3), protocol, cfg))
+            for run in runs:
                 assert ("W_max" in run.metrics) == has
-
-    @pytest.mark.parametrize("gains, whole", [([1.5, 1.5], True), ([1.5, 1.0], False)])
-    def test_one_protocol_list_steps_without_slices(self, monkeypatch, gains, whole):
-        # a list naming one protocol and one gain takes the shared path:
-        # each step's axes come from the stepped array itself, not a slice
-        calls = []
-        axes, step = dynamics.chain_axes, dynamics._step_kets
-        monkeypatch.setattr(dynamics, "chain_axes",
-                            lambda x: calls.append(("axes", x)) or axes(x))
-        monkeypatch.setattr(dynamics, "_step_kets",
-                            lambda x, a, dt: calls.append(("step", x)) or step(x, a, dt))
-        kets = self._kets(self.INSIDE, self.OUTSIDE)
-        simulate_network(kets, chain(3), ["chain", "chain"], IntegratorConfig(t_max=0.01),
-                         gain=gains)
-        assert "".join(kind[0] for kind, _ in calls) == ("as" if whole else "aas") * 10
-        if whole:
-            assert all(a is x for (_, a), (_, x) in zip(calls[::2], calls[1::2]))
 
 
 class TestStopMetric:

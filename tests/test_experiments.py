@@ -1,6 +1,8 @@
 import functools
 import math
 import os
+import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -86,8 +88,8 @@ def test_qcme_compare_geometry_batch_equals_per_topology_runs():
         np.random.default_rng([0, 2, s]), 3, experiments.QCME_CAP_ANGLE))
         for s in seeds])
     cfg = IntegratorConfig(sample_every=20, **kwargs)
-    # the chain protocol and the geometric one on both edge sets step as
-    # one batch; each equals its own one-protocol, one-topology run
+    # the geometric protocol steps on both edge sets as one batch; each
+    # member equals its own one-protocol, one-topology run
     for key, t, protocol, gain in (("chain_eq", chain(3), "chain", 1.0),
                                    ("chain_geo", chain(3), "geometry", 2.0),
                                    ("full_geo", complete(3), "geometry", 2.0)):
@@ -241,6 +243,64 @@ def test_an_error_here_reaps_every_child_first(two_cores, error):
                                functools.partial(_pid_after, 60.0, "late")])
     assert time.monotonic() - start < 30
     _assert_no_child()
+
+
+def _unpicklable():
+    return lambda: None
+
+
+def test_run_calls_raises_a_child_pickling_error_here(two_cores):
+    # the child's result cannot be pickled: its own pickling error comes back
+    with pytest.raises(Exception) as want:
+        pickle.dumps(_unpicklable())
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        experiments.run_calls([functools.partial(_pid_after, 0.0, "ok"), _unpicklable])
+    _assert_no_child()
+
+
+def _qcme_cells(**kwargs):
+    return experiments.qcme_compare_cells([0, 5, 6], 1, dt=2e-2, t_max=5.0, **kwargs)
+
+
+def _one_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def test_qcme_compare_cells_equal_on_two_cores_and_one(monkeypatch, two_cores):
+    split = _qcme_cells()
+    _assert_no_child()
+    _one_core(monkeypatch)
+    for got, want in zip(split, _qcme_cells(), strict=True):
+        assert got["settling"] == want["settling"]
+        assert list(got["series"]) == list(want["series"])
+        for key, (ts, ds) in want["series"].items():
+            assert got["series"][key][0].tobytes() == ts.tobytes()
+            assert got["series"][key][1].tobytes() == ds.tobytes()
+
+
+@pytest.mark.parametrize("one_core", [False, True], ids=["two_cores", "one_core"])
+def test_qcme_compare_hemisphere_warning_reaches_the_caller_once(monkeypatch, two_cores,
+                                                                 one_core):
+    # three random points lie in an open hemisphere with probability one, so
+    # seed 5 (batch index 1) gets a set through the origin: the geometric batch
+    # holds it on the chain (index 1) and on the complete graph (index 3 + 1)
+    drawn, real = [], experiments.cap_points
+
+    def cap_points(rng, n, alpha):
+        drawn.append(n)
+        return (np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+                if len(drawn) == 2 else real(rng, n, alpha))
+
+    monkeypatch.setattr(experiments, "cap_points", cap_points)
+    if one_core:
+        _one_core(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(_qcme_cells(cap=math.pi)) == 3
+    _assert_no_child()
+    assert [str(w.message) for w in caught] == [
+        "initial Bloch vectors of batch members [1, 4] are not strictly inside an open "
+        "hemisphere; convergence of the geometric protocol is not guaranteed"]
 
 
 def _running(pid):

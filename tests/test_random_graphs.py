@@ -1,10 +1,10 @@
 """Properties over random connected weighted graphs: the edge-list
-(manifest) round trip, the quantum/sphere twin agreement, mixed-protocol
-batches and unit norm over long runs."""
+(manifest) round trip, the quantum/sphere twin agreement, batches with a
+topology per member and unit norm over long runs."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitnet.dynamics import IntegratorConfig, simulate_network, simulate_sphere
@@ -60,33 +60,35 @@ def test_twin_agreement(t, seed):
 
 @st.composite
 def mixed_batches(draw, protocols, max_size=4):
-    """(kets, topologies, protocols, gains) of a (B, N, 2) batch: chain
-    members on chain(N), geometric ones on connected graphs, min-time ones
-    (N = 2 only) on chain(2), in a random order, each with its own gain in
-    [0.5, 2] and hemisphere start."""
+    """(kets, topologies, protocol, gain) of a (B, N, 2) batch of one
+    protocol drawn from protocols, with a topology per member: chain(N)
+    for the chain protocol, connected graphs for the geometric one,
+    chain(2) for min-time (N = 2 only); one gain in [0.5, 2] and
+    hemisphere starts."""
     n = draw(st.integers(2, 6))
-    kinds = [p for p in protocols if p != "min-time" or n == 2]
-    members = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_size))
-    topologies = [draw(connected_graphs(n)) if p == "geometry" else chain(n) for p in members]
-    gains = [draw(st.floats(0.5, 2.0)) for _ in members]
+    protocol = draw(st.sampled_from([p for p in protocols if p != "min-time" or n == 2]))
+    size = draw(st.integers(1, max_size))
+    topologies = [draw(connected_graphs(n)) if protocol == "geometry" else chain(n)
+                  for _ in range(size)]
+    gain = draw(st.floats(0.5, 2.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kets = np.array([kets_from_points(hemisphere_points(rng, n)) for _ in members])
-    return kets, topologies, members, gains
+    kets = np.array([kets_from_points(hemisphere_points(rng, n)) for _ in range(size)])
+    return kets, topologies, protocol, gain
 
 
 @settings(max_examples=30, deadline=None)
 @given(mixed_batches(("chain", "geometry", "min-time")), st.sampled_from([None, 0.05]))
 def test_mixed_batch_members_equal_their_one_protocol_runs(batch, threshold):
-    """Each member of a batch with a protocol and a gain per member
-    equals its own one-protocol run, bit for bit (-0.0 is not 0.0)."""
-    kets, topologies, protocols, gains = batch
+    """Each member of a batch with a topology per member equals its own
+    one-member run, bit for bit (-0.0 is not 0.0)."""
+    kets, topologies, protocol, gain = batch
     cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=7,
                            stop_threshold=threshold, stop_metric="pure_state_error")
-    runs = simulate_network(kets, topologies, protocols, cfg, gain=gains)
-    chain_only = set(protocols) == {"chain"}
-    for member, t, p, g, run in zip(kets, topologies, protocols, gains, runs, strict=True):
-        one = simulate_network(member, t, p, cfg, gain=g)
-        assert set(run.metrics) == {"V", "pure_state_error"} | ({"W_max"} if chain_only else set())
+    runs = simulate_network(kets, topologies, protocol, cfg, gain=gain)
+    for member, t, run in zip(kets, topologies, runs, strict=True):
+        one = simulate_network(member, t, protocol, cfg, gain=gain)
+        assert set(run.metrics) == {"V", "pure_state_error"} | (
+            {"W_max"} if protocol == "chain" else set())
         assert run.stop_reason == one.stop_reason
         for got, want in [(run.sample_times, one.sample_times), (run.samples, one.samples),
                           (run.metrics["V"], one.metrics["V"]),
@@ -94,17 +96,15 @@ def test_mixed_batch_members_equal_their_one_protocol_runs(batch, threshold):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("protocols", [("chain",), ("geometry",), ("chain", "geometry")])
+@pytest.mark.parametrize("protocols", [("chain",), ("geometry",)])
 @settings(max_examples=1, deadline=None)
 @given(data=st.data())
 def test_kets_stay_unit_over_ten_thousand_steps(protocols, data):
-    """Every ket norm stays within 1e-13 of 1 over 10^4 steps of a chain,
-    geometric or mixed batch: the step is exactly unitary up to rounding."""
-    kets, topologies, members, gains = data.draw(mixed_batches(protocols, max_size=6))
-    if len(protocols) == 2:  # a mixed batch holds both protocols
-        assume(len(set(members)) == 2)
+    """Every ket norm stays within 1e-13 of 1 over 10^4 steps of a chain
+    or geometric batch: the step is exactly unitary up to rounding."""
+    kets, topologies, protocol, gain = data.draw(mixed_batches(protocols, max_size=6))
     cfg = IntegratorConfig(dt=1e-2, t_max=100.0, sample_every=1000)
     assert cfg.n_steps == 10_000
-    for run in simulate_network(kets, topologies, members, cfg, gain=gains):
+    for run in simulate_network(kets, topologies, protocol, cfg, gain=gain):
         assert run.sample_times[-1] == 100.0
         assert np.max(np.abs(np.linalg.norm(run.samples, axis=-1) - 1.0)) < 1e-13

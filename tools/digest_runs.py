@@ -31,8 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 7)
 # Runs at the acceptance size. coherence-protect: over its 5 000 steps the
 # feedback loop grows a one-ulp change in the SME step to about 1e-3.
-# qcme-compare: one 30-member network batch mixing both protocols and two
-# gains over 20 000 steps (every member runs to t_max).
+# qcme-compare: a 20-member geometric network batch (gain 2, chain and
+# complete graph) and a 10-member chain-protocol batch (gain 1), each over
+# 20 000 steps (every member runs to t_max).
 LONG_RUNS = [["coherence-protect", "--n-traj", "100", "--dt", "1e-4", "--seed", "0"],
              ["qcme-compare", "--n-seeds", "10", "--seed", "0"]]
 
