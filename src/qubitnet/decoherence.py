@@ -267,8 +267,7 @@ def simulate_protected_pair(
     series = {"cxy_i": lambda x: _coherence(x[..., 0, :, :]),
               "cxy_j": lambda x: _coherence(x[..., 1, :, :]),
               "distance": distance}
-    runs = _integrate(np.repeat(rho0[None], len(seeds), axis=0), step, series, cfg)
-    cxy_i, cxy_j, dist = (np.array([r.metrics[m] for r in runs]) for m in series)
-    return PairTrajectory(runs[0].sample_times, np.stack([cxy_i, cxy_j], axis=-1), dist,
-                          target, suspended.sum(axis=1),
-                          np.array([r.samples[-1] for r in runs]))
+    times, rhos, metrics, _ = _integrate(np.repeat(rho0[None], len(seeds), axis=0),
+                                         step, series, cfg)
+    return PairTrajectory(times, np.stack([metrics["cxy_i"], metrics["cxy_j"]], axis=-1),
+                          metrics["distance"], target, suspended.sum(axis=1), rhos[:, -1].copy())

@@ -251,23 +251,23 @@ def _batch(states, width: int) -> tuple[np.ndarray, bool]:
 
 def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_samples=True):
     """Shared stepping driver over one (N, .) run or a batch (B, ...) with
-    its members on the leading axis.
+    its members on the leading axis. Returns the record (times, (B, S, ...)
+    samples or None, {name: (B, S) series}, ends); a single run is stepped
+    as the plain (N, .) array but recorded as a batch of one.
 
     step(x) returns the next state of the whole of x. series maps each
     metric name to a function giving one value per state of a stack of
-    states with any leading axes. A member stops at the first sample
-    whose cfg.stop_metric value falls below cfg.stop_threshold: its
-    trajectory ends at that sample. As in a one-member run, the stop test
-    starts at the first sample after a step. Stopped members stay in the
-    batch and are stepped on until the last member stops, which ends the
-    run. A single run is stepped as the plain (N, .) array but recorded
-    as a batch of one; _members cuts one Trajectory per member.
+    states with any leading axes. Member b stops at the first sample
+    ends[b] (-1: none) whose cfg.stop_metric value falls below
+    cfg.stop_threshold, testing from the first sample after a step. Stopped
+    members are stepped on until the last member stops, which ends the run.
 
     Only the stop metric (when a threshold is set) and the series named
-    in per_sample are evaluated at every kept sample. The others are
-    computed after the run over the stacked samples, in blocks of at most
-    _SERIES_BLOCK samples x members x N^2, so their temporaries stay small.
-    A run with keep_samples False keeps no snapshot, only its stop series.
+    in per_sample are evaluated at every kept sample; the others after the
+    run over the stacked samples, in blocks of at most _SERIES_BLOCK
+    samples x members x N^2, so their temporaries stay small. A run with
+    keep_samples False keeps no snapshot and no series, only its ends, and
+    tests sample 0 too, as settling_time does.
 
     What a run keeps may take at most _MAX_SAMPLE_BYTES. A run without a stop
     threshold that would keep more is rejected before its first step; a
@@ -291,9 +291,11 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_sampl
                          "raise dt or lower t_max")
     single = x.ndim == 2
     steps, snaps = [0], [x] if keep_samples else []
-    live = {m: [f(x)] for m, f in series.items() if m == stop or keep_samples and m in per_sample}
-    kept = x.nbytes if keep_samples else live[stop][0].nbytes  # bytes a sample keeps
-    ends = np.full(1 if single else x.shape[0], -1)  # last sample index of each member
+    live = {m: [f(x)] for m, f in series.items() if keep_samples and m in (stop, *per_sample)}
+    kept = x.nbytes if keep_samples else 8  # bytes a sample keeps: its snapshot or its time
+    ends = np.full(1 if single else x.shape[0], -1)  # stop sample of each member
+    if not keep_samples:
+        ends[series[stop](x) < cfg.stop_threshold] = 0
     for k in range(1, n_steps + 1):
         x = step(x)
         if k % cfg.sample_every and k != n_steps:
@@ -308,7 +310,8 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_sampl
         for m in live:
             live[m].append(series[m](x))
         if stop is not None:
-            ends[(ends < 0) & (live[stop][-1] < cfg.stop_threshold)] = len(steps) - 1
+            value = live[stop][-1] if keep_samples else series[stop](x)
+            ends[(ends < 0) & (value < cfg.stop_threshold)] = len(steps) - 1
             if (ends >= 0).all():
                 break
     times = np.array(steps) * cfg.dt
@@ -325,19 +328,22 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_sampl
         metrics = {m: metrics[m] if m in metrics
                    else np.concatenate([f(part) for part in parts], axis=-1)
                    for m, f in series.items()}
-    runs = _members(times, samples, metrics, ends)
-    return runs[0] if single else runs
+    return times, samples, metrics, ends
 
 
-def _members(times, samples, metrics, ends) -> list[Trajectory]:
-    """One Trajectory per member of (B, S, ...) samples or None and (B, S)
-    metrics: member b keeps samples 0 to ends[b], where it fell below the
-    stop threshold, or all of them when ends[b] is -1."""
-    cuts = np.where(ends < 0, len(times), ends + 1)  # samples each member keeps
-    return [Trajectory(times[:c], None if samples is None else samples[b, :c],
-                       {m: v[b, :c] for m, v in metrics.items()},
-                       "t_max" if e < 0 else "threshold")
-            for b, (c, e) in enumerate(zip(cuts, ends))]
+def _members(times, samples, metrics, ends, batched: bool):
+    """Member b of a record keeps samples 0 to ends[b], or all when it is -1;
+    of a record without series it is the settling time times[ends[b]] or None.
+    A single run gives its one member, not a list."""
+    if not metrics:
+        runs = [None if e < 0 else float(times[e]) for e in ends]
+    else:
+        cuts = np.where(ends < 0, len(times), ends + 1)  # samples each member keeps
+        runs = [Trajectory(times[:c], None if samples is None else samples[b, :c],
+                           {m: v[b, :c] for m, v in metrics.items()},
+                           "t_max" if e < 0 else "threshold")
+                for b, (c, e) in enumerate(zip(cuts, ends))]
+    return runs if batched else runs[0]
 
 
 def simulate_network(
@@ -347,7 +353,7 @@ def simulate_network(
     cfg: IntegratorConfig,
     gain: float = 1.0,
     keep_samples: bool = True,
-) -> Trajectory | list[Trajectory]:
+) -> Trajectory | list[Trajectory] | float | None | list[float | None]:
     """Synchronous closed-loop run of one consensus protocol over qubit networks.
 
     kets0 of shape (N, 2) gives one Trajectory. A (B, N, 2) batch runs
@@ -361,7 +367,7 @@ def simulate_network(
     gain 1 the Bloch flow equals the projected-sum sphere flow exactly
     (factor-2 rotation-rate reconciliation); gain 2 reproduces the bare
     H = n . sigma protocol.
-    keep_samples False keeps no kets, only the stop series (see _integrate).
+    keep_samples False keeps no kets and gives settling times on cfg.stop_metric.
     """
     kets, batched = _batch(np.array(kets0, dtype=complex), 2)
     n = kets.shape[-2]
@@ -424,7 +430,7 @@ def simulate_network(
     def step(x):
         return _step_kets(x, axes(x), cfg.dt)
 
-    return _integrate(kets, step, series, cfg, series.keys() & {"W_max"}, keep_samples)
+    return _members(*_integrate(kets, step, series, cfg, ("W_max",), keep_samples), batched)
 
 
 def simulate_sphere(
@@ -441,7 +447,7 @@ def simulate_sphere(
     stopping follow simulate_network: x0 of shape (N, 3) gives one
     Trajectory, (B, N, 3) one per member.
     """
-    x, _ = _batch(np.array(x0, dtype=float), 3)
+    x, batched = _batch(np.array(x0, dtype=float), 3)
     if x.shape[-2] != t.n:
         raise ValueError(f"{x.shape[-2]} vectors for a {t.n}-node topology")
     if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-9:
@@ -451,7 +457,7 @@ def simulate_sphere(
         return _rotate_vectors(x, geometry_axes(x, t), cfg.dt)
 
     series = {"max_angle": _max_pairwise_angle, "pure_state_error": _pairwise_error}
-    return _integrate(x, step, series, cfg)
+    return _members(*_integrate(x, step, series, cfg), batched)
 
 
 def _qcme_flow(rho: np.ndarray, t: Topology):
@@ -513,8 +519,7 @@ def simulate_qcme(
         if below.any(axis=1).all():
             break
     ends = np.where(below.any(axis=1), below.argmax(axis=1) + 1, -1)
-    runs = _members(times, None, {"composite_distance": d}, ends)
-    return runs if rho.ndim == 3 else runs[0]
+    return _members(times, None, {"composite_distance": d}, ends, rho.ndim == 3)
 
 
 def meeting_time(traj: Trajectory, angle_tol: float) -> float | None:

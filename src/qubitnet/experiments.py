@@ -122,7 +122,12 @@ def run_calls(calls: list) -> list:
     try:
         for w in range(1, workers):
             fds += os.pipe()
-            pid = os.fork()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork() with threads running: here only the
+                # bundled OpenBLAS pool, which its pthread_atfork handler stops first
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                        r"use of fork\(\)", DeprecationWarning)
+                pid = os.fork()
             if pid == 0:  # the child sends its calls' records, or its error, and exits
                 try:
                     os.close(held)
@@ -200,15 +205,12 @@ def run_min_time_heatmap(
     thetas = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 4.0)
     dphis = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 2.0)
 
-    spec = SettlingSpec(threshold=HEATMAP_V_THRESHOLD, metric="V")
     cells = [(theta, dphi, 0.5 * (math.pi / 2.0 - dphi))
              for theta in thetas for dphi in dphis]
     kets = np.array([[ket_from_angles(theta, phi1),
                       ket_from_angles(theta, phi1 + dphi)]
                      for theta, dphi, phi1 in cells])
-    # one batch: a run without samples keeps only each cell's V series
-    t1s = [settling_time(traj, spec) for traj in
-           simulate_network(kets, chain(2), "chain", cfg, keep_samples=False)]
+    t1s = simulate_network(kets, chain(2), "chain", cfg, keep_samples=False)  # settling times
 
     def bloch(theta: float, phi: float) -> np.ndarray:
         return np.array([math.sin(theta) * math.cos(phi),
@@ -286,7 +288,7 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
                   dt: float = 5e-3) -> list[float | None]:
     """Settling times of the (topology size, seed) sweep cells of one size.
 
-    The seeds run as one batch keeping only its stop series, but each
+    The seeds run as one batch that keeps no samples, but each
     cell's random stream depends only on the master seed and the cell
     coordinates, so cells can run in any order, grouping or in parallel:
     run_scaling_sweep deals the sizes to this process and one forked child
@@ -303,9 +305,7 @@ def scaling_cells(kind: str, size: int, seeds, master_seed: int,
         for s in seeds])
     cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=10,
                            stop_threshold=1e-2, stop_metric=metric)
-    trajs = simulate_network(kets, t, protocol, cfg, gain=gain, keep_samples=False)
-    spec = SettlingSpec(threshold=1e-2, metric=metric)
-    return [settling_time(traj, spec) for traj in trajs]
+    return simulate_network(kets, t, protocol, cfg, gain=gain, keep_samples=False)
 
 
 def run_scaling_sweep(

@@ -913,10 +913,10 @@ class TestStopMetric:
         assert runs["pure_state_error"] < runs["max_angle"]
 
 
-def _per_sample_driver(x, step, record, names, cfg, keep_samples=True):
+def _per_sample_driver(x, step, record, names, cfg):
     """The stepping driver as it was when record(x) gave every series at
-    every kept sample: the oracle of the split record. Without samples a
-    run gives its stop series alone."""
+    every kept sample: the oracle of the split record, returned as the
+    record _integrate returns."""
     stop = None
     if cfg.stop_threshold is not None:
         stop = names.index(cfg.stop_metric)
@@ -935,20 +935,10 @@ def _per_sample_driver(x, step, record, names, cfg, keep_samples=True):
             ends[(ends < 0) & (values[-1][stop] < cfg.stop_threshold)] = len(steps) - 1
             if (ends >= 0).all():
                 break
-    times = np.array(steps) * cfg.dt
-    if single:
-        runs = [Trajectory(times, np.array(snaps), dict(zip(names, np.stack(values, axis=1))))]
-    else:
-        ends[ends < 0] = len(steps) - 1
-        samples = np.stack(snaps, axis=1)
-        series = np.stack(values, axis=2)
-        runs = [Trajectory(times[: e + 1], samples[b, : e + 1],
-                           dict(zip(names, series[:, b, : e + 1])))
-                for b, e in enumerate(ends)]
-    if not keep_samples:
-        runs = [Trajectory(r.sample_times, None,
-                           {cfg.stop_metric: r.metrics[cfg.stop_metric]}) for r in runs]
-    return runs[0] if single else runs
+    if single:  # recorded as a batch of one
+        snaps, values = [s[None] for s in snaps], [v[:, None] for v in values]
+    series = np.stack(values, axis=-1)  # (names, B, S)
+    return np.array(steps) * cfg.dt, np.stack(snaps, axis=1), dict(zip(names, series)), ends
 
 
 def _network_record(protocol):
@@ -974,16 +964,25 @@ def _pair_record(x):
 
 
 def _run_and_oracle(run, record, module=dynamics):
-    """run() as it is, and run() with module._integrate swapped for the
-    per-sample oracle driver fed by record."""
+    """(result, _integrate record) of run() as it is, and of run() with
+    module._integrate swapped for the per-sample oracle driver fed by record."""
+    integrate, records = module._integrate, []
+
+    def real(*args):
+        records.append(integrate(*args))
+        return records[-1]
 
     def oracle(x, step, series, cfg, per_sample=(), keep_samples=True):
-        return _per_sample_driver(x, step, record, tuple(series), cfg, keep_samples)
+        assert keep_samples
+        records.append(_per_sample_driver(x, step, record, tuple(series), cfg))
+        return records[-1]
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_integrate", real)
+        got = run()
         mp.setattr(module, "_integrate", oracle)
-        expected = run()
-    return run(), expected
+        want = run()
+    return (got, records[0]), (want, records[1])
 
 
 _SERIES_NAMES = {"chain": ["V", "pure_state_error", "W_max"],
@@ -995,8 +994,7 @@ _SERIES_NAMES = {"chain": ["V", "pure_state_error", "W_max"],
 def split_runs(draw):
     """A chain, geometry or sphere run: B 1-5 members of N 2-6 qubits
     spread from identical to uniform, sample_every 1-7, no threshold or
-    one on any recorded series, and a series block from 1 sample up. A
-    network run with a threshold may keep no samples."""
+    one on any recorded series, and a series block from 1 sample up."""
     kind = draw(st.sampled_from(sorted(_SERIES_NAMES)))
     n, size = draw(st.integers(2, 6)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1016,19 +1014,18 @@ def split_runs(draw):
                            stop_threshold=threshold, stop_metric=metric or "V")
     topology = chain(n) if kind == "chain" else draw(st.sampled_from([chain(n), complete(n)]))
     block = draw(st.sampled_from([1, 40, 300, dynamics._SERIES_BLOCK]))
-    keep = kind == "sphere" or threshold is None or draw(st.booleans())
-    return kind, pts, topology, cfg, block, keep
+    return kind, pts, topology, cfg, block
 
 
-def _assert_equals_oracle(got, want, cfg):
-    np.testing.assert_array_equal(got.sample_times, want.sample_times)  # the stop sample
-    np.testing.assert_array_equal(got.samples, want.samples)
-    assert list(got.metrics) == list(want.metrics)
-    for name, series in want.metrics.items():
-        np.testing.assert_array_equal(got.metrics[name], series, err_msg=name)
-    stopped = (cfg.stop_threshold is not None and len(want.sample_times) > 1
-               and want.metrics[cfg.stop_metric][-1] < cfg.stop_threshold)
-    assert got.stop_reason == ("threshold" if stopped else "t_max")
+def _assert_records_equal(got, want):
+    """Times, (B, S, ...) samples, (B, S) series in order, and stop samples."""
+    (times, samples, metrics, ends), (w_times, w_samples, w_metrics, w_ends) = got, want
+    np.testing.assert_array_equal(times, w_times, strict=True)
+    np.testing.assert_array_equal(samples, w_samples, strict=True)
+    assert list(metrics) == list(w_metrics)
+    for name, series in w_metrics.items():
+        np.testing.assert_array_equal(metrics[name], series, err_msg=name, strict=True)
+    np.testing.assert_array_equal(ends, w_ends, strict=True)
 
 
 class TestSplitRecord:
@@ -1038,7 +1035,7 @@ class TestSplitRecord:
     @settings(max_examples=80, deadline=None)
     @given(split_runs())
     def test_equals_per_sample_oracle(self, case):
-        kind, pts, topology, cfg, block, keep = case
+        kind, pts, topology, cfg, block = case
         if kind == "sphere":
             def run():
                 return simulate_sphere(pts, topology, cfg)
@@ -1048,18 +1045,14 @@ class TestSplitRecord:
             kets = np.apply_along_axis(ket_from_bloch, -1, pts)
 
             def run():
-                return simulate_network(kets, topology, kind, cfg, keep_samples=keep)
+                return simulate_network(kets, topology, kind, cfg)
 
             record = _network_record(kind)
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("ignore", UserWarning)  # outside a hemisphere
             mp.setattr(dynamics, "_SERIES_BLOCK", block)
-            got, want = _run_and_oracle(run, record)
-        if pts.ndim == 2:
-            got, want = [got], [want]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_equals_oracle(g, w, cfg)
+            (_, got), (_, want) = _run_and_oracle(run, record)
+        _assert_records_equal(got, want)
 
     def test_protected_pair_equals_per_sample_oracle(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_SERIES_BLOCK", 100)  # 4 samples a block
@@ -1071,7 +1064,8 @@ class TestSplitRecord:
             return simulate_protected_pair(a, b, NoiseParams(), cfg, [11, 12, 13],
                                            feedback=[True, False, True])
 
-        got, want = _run_and_oracle(run, _pair_record, decoherence)
+        (got, got_record), (want, want_record) = _run_and_oracle(run, _pair_record, decoherence)
+        _assert_records_equal(got_record, want_record)
         for name in ("sample_times", "coherence", "distance", "final_rhos",
                      "suspended_steps"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -1133,27 +1127,52 @@ def stopped_runs(draw):
 
 
 class TestRunsWithoutSamples:
-    """A run that keeps no samples keeps its stop series alone, bit for
-    bit the series and cut of the run that keeps them."""
+    """A run that keeps no samples gives each member's settling time at the
+    config's stop: settling_time of the run that keeps them."""
+
+    @staticmethod
+    def _settling_times(kets, topology, protocol, gain, cfg):
+        """The stop-only run's times, checked against the sample-keeping run."""
+        want = simulate_network(kets, topology, protocol, cfg, gain=gain)
+        got = simulate_network(kets, topology, protocol, cfg, gain=gain, keep_samples=False)
+        if kets.ndim == 2:  # an unbatched run gives the bare value
+            assert got is None or type(got) is float
+            got, want = [got], [want]
+        spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
+        assert got == [settling_time(w, spec) for w in want]
+        return got
 
     @settings(max_examples=40, deadline=None)
     @given(stopped_runs())
     def test_equals_the_sample_keeping_run(self, case):
-        kets, topology, protocol, gain, cfg = case
-        want = simulate_network(kets, topology, protocol, cfg, gain=gain)
-        got = simulate_network(kets, topology, protocol, cfg, gain=gain, keep_samples=False)
-        if kets.ndim == 2:
-            got, want = [got], [want]
-        spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
-        for g, w in zip(got, want, strict=True):
-            assert g.samples is None and list(g.metrics) == [cfg.stop_metric]
-            assert g.sample_times.tobytes() == w.sample_times.tobytes()
-            assert (g.metrics[cfg.stop_metric].tobytes()
-                    == w.metrics[cfg.stop_metric].tobytes())
-            assert settling_time(g, spec) == settling_time(w, spec)
-            assert g.stop_reason == w.stop_reason
-            with pytest.raises(ValueError, match="no per-qubit samples"):
-                g.bloch()
+        self._settling_times(*case)
+
+    def test_settled_at_t0_and_never_settled(self):
+        # sample 0 is tested once, as settling_time does; the stop test of
+        # a sample-keeping run starts after the first step
+        rng = np.random.default_rng(61)
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=2, stop_threshold=0.1)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in _mixed_batch(rng, 4, 1e-2)])
+        got = self._settling_times(kets, chain(4), "chain", 1.0, cfg)
+        assert got[0] == 0.0 and 0.0 < got[1] < 1.0 and got[2] is None
+        assert self._settling_times(kets[0], chain(4), "chain", 1.0, cfg) == [0.0]
+        assert self._settling_times(kets[2], chain(4), "chain", 1.0, cfg) == [None]
+
+    @pytest.mark.parametrize("t_max", [0.5, 2.0])
+    def test_keeps_no_series(self, t_max):
+        """64 chain pairs that never settle, every step sampled: the run's
+        allocations peak below one (B, S) float series, however long it runs."""
+        rng = np.random.default_rng(5)
+        kets = np.array([sphere_kets(rng, 2) for _ in range(64)])
+        cfg = IntegratorConfig(dt=1e-3, t_max=t_max, stop_threshold=1e-30)
+        tracemalloc.start()
+        try:
+            got = simulate_network(kets, chain(2), "chain", cfg, keep_samples=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (cfg.n_steps + 1) * 8
+        assert got == [None] * 64
 
     def test_needs_a_stop_threshold(self, monkeypatch):
         def no_step(*args):
@@ -1170,16 +1189,14 @@ class TestRunsWithoutSamples:
         kets = np.array([sphere_kets(rng, 4) for _ in range(3)])
         cfg = IntegratorConfig(dt=1e-2, t_max=100.0, sample_every=5, stop_threshold=0.1)
         want = simulate_network(kets, chain(4), "chain", cfg, keep_samples=False)
-        kept = max(t.sample_times.size for t in want)
-        assert all(t.stop_reason == "threshold" for t in want)
-        # 8 bytes of V per member and sample, far less than the kets
-        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * 3 * 8)
-        got = simulate_network(kets, chain(4), "chain", cfg, keep_samples=False)
-        for g, w in zip(got, want):
-            assert g.sample_times.tobytes() == w.sample_times.tobytes()
+        assert None not in want
+        kept = round(max(want) / (cfg.dt * cfg.sample_every)) + 1  # samples to the last stop
+        # one 8-byte sample time per kept sample, far less than the kets
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * 8)
+        assert simulate_network(kets, chain(4), "chain", cfg, keep_samples=False) == want
         with pytest.raises(ValueError, match="kept samples went over"):
             simulate_network(kets, chain(4), "chain", cfg)
-        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * 3 * 8 - 1)
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * 8 - 1)
         with pytest.raises(ValueError, match=f"after {5 * (kept - 1)} of 10000 steps"):
             simulate_network(kets, chain(4), "chain", cfg, keep_samples=False)
 

@@ -207,6 +207,50 @@ def test_run_calls_reissues_worker_warnings_in_call_order(two_cores):
     assert "not strictly inside an open hemisphere" in str(caught[1].message)
 
 
+def test_fork_warning_of_a_threaded_process_does_not_reach_the_caller(two_cores,
+                                                                      monkeypatch):
+    fork, forks = os.fork, []
+
+    def warning_fork():
+        forks.append(fork())
+        if forks[-1]:  # as Python >= 3.12 warns in the parent of a process with threads
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = experiments.run_calls([functools.partial(_warn, m, DeprecationWarning)
+                                         for m in ("here", "in the child")])
+    assert len(forks) == 1 and results == ["here", "in the child"]
+    # the calls' own DeprecationWarnings still come through
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (DeprecationWarning, "here"), (DeprecationWarning, "in the child")]
+
+
+def _matmul(seed):
+    a = np.random.default_rng(seed).normal(size=(512, 512))
+    return (a @ a).tobytes()
+
+
+def test_a_child_runs_blas_right_after_this_process_did(two_cores):
+    def timeout(signum, frame):
+        raise TimeoutError("run_calls hung")
+
+    want = [_matmul(0), _matmul(1)]  # this process has run BLAS just before the fork
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        got = experiments.run_calls([functools.partial(_matmul, s) for s in (0, 1)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == want
+    _assert_no_child()
+
+
 def test_run_calls_on_one_core_starts_no_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     got = experiments.run_calls([functools.partial(_pid_after, 0.0, v) for v in "ab"])

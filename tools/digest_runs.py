@@ -33,9 +33,13 @@ SEEDS = (0, 1, 7)
 # feedback loop grows a one-ulp change in the SME step to about 1e-3.
 # qcme-compare: a 20-member geometric network batch (gain 2, chain and
 # complete graph) and a 10-member chain-protocol batch (gain 1), each over
-# 20 000 steps (every member runs to t_max).
+# 20 000 steps (every member runs to t_max). min-time-heatmap: the runs
+# kept for their settling times alone, 1 024 cells at the defaults, and
+# 32 400 cells of which 180 settle at t = 0.
 LONG_RUNS = [["coherence-protect", "--n-traj", "100", "--dt", "1e-4", "--seed", "0"],
-             ["qcme-compare", "--n-seeds", "10", "--seed", "0"]]
+             ["qcme-compare", "--n-seeds", "10", "--seed", "0"],
+             ["min-time-heatmap"],
+             ["min-time-heatmap", "--resolution", "180", "--dt", "5e-2"]]
 
 
 def tiny_runs() -> list[list[str]]:
