@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MINUS_I_PAULI_REAL, row_cross
+from .core import MINUS_I_PAULI_REAL, row_cross, step_work
 from .metrics import lyapunov_decay_terms, quantum_average
 from .protocols import (
     chain_axes,
@@ -118,10 +118,12 @@ _BLOCH_FORMS = np.array([
 ], dtype=float)
 
 
-def _bloch_batch(kets: np.ndarray) -> np.ndarray:
-    """Bloch vectors of a (..., 2) ket batch, shape (..., 3), from the real view."""
+def _bloch_batch(kets: np.ndarray, work=None) -> np.ndarray:
+    """Bloch vectors of a (..., 2) ket batch, shape (..., 3), into work["u"]."""
     r = np.ascontiguousarray(kets, dtype=complex).view(float)
-    return np.einsum("...pj,...j->...p", (r @ _BLOCH_FORMS).reshape(r.shape[:-1] + (3, 4)), r)
+    w = step_work(r.shape[:-1], ("bloch",)) if work is None else work
+    np.matmul(r, _BLOCH_FORMS, out=w["forms"])
+    return np.einsum("...pj,...j->...p", w["forms34"], r, out=w["u"])
 
 
 # (cos phi, sin(phi) e) @ _STEP_FORMS is the real 4x4 form of
@@ -129,23 +131,24 @@ def _bloch_batch(kets: np.ndarray) -> np.ndarray:
 _STEP_FORMS = np.concatenate([np.eye(4)[None], MINUS_I_PAULI_REAL]).reshape(4, 16)
 
 
-def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
+def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float, work=None) -> np.ndarray:
     """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary.
 
-    Works on the real (Re a, Im a, Re b, Im b) view of the kets. Each
-    entry of the real step matrix is one coefficient times 0 or +-1, so
-    building it is exact and every row's result depends only on that row.
+    Works on the real (Re a, Im a, Re b, Im b) view of the kets. Each entry of the real
+    step matrix is one coefficient times 0 or +-1, so building it is exact and every row's
+    result depends only on that row. Temporaries go into work; the kets returned are fresh.
     """
     r = np.ascontiguousarray(kets, dtype=complex).view(float)
-    omega = np.sqrt((axes * axes).sum(axis=-1))
-    phi = omega * dt
-    coef = np.empty(r.shape)
-    np.cos(phi, out=coef[..., 0])
-    # sin(0) is exactly 0, so a zero axis gets a zero rotation part
-    np.multiply(axes, (np.sin(phi) / (omega + (omega == 0.0)))[..., None],
-                out=coef[..., 1:])
-    step = (coef @ _STEP_FORMS).reshape(r.shape + (4,))
-    return (step @ r[..., None])[..., 0].view(complex)
+    w = step_work(r.shape[:-1], ("ket",)) if work is None else work
+    omega, phi, sin = w["omega"], w["phi"], w["sin"]
+    np.sqrt(np.add.reduce(np.multiply(axes, axes, out=w["sq"]), -1, out=omega), out=omega)
+    np.cos(np.multiply(omega, dt, out=phi), out=w["cos"])
+    # sin(0) is exactly 0, so a zero axis (logical_not: omega == 0) gets a zero rotation part
+    np.add(omega, np.logical_not(omega, out=w["zero"]), out=w["div"])
+    np.divide(np.sin(phi, out=sin), w["div"], out=sin)
+    np.multiply(axes, w["sin_col"], out=w["rot"])
+    np.matmul(w["coef"], _STEP_FORMS, out=w["step"])
+    return (w["step44"] @ r[..., None])[..., 0].view(complex)
 
 
 def _rotate_vectors(x: np.ndarray, axes: np.ndarray, dt: float) -> np.ndarray:
@@ -392,6 +395,7 @@ def simulate_network(
         raise ValueError(f"gain must be finite and one float per call, got {gain!r}")
     series = {"V": _consecutive_v,
               "pure_state_error": lambda x: _pairwise_error(_bloch_batch(x))}
+    work, scale = step_work(kets.shape[:-1]), 1.0  # one workspace for every step
 
     if protocol == "chain":
         check(is_chain, "chain protocol requires a chain topology")
@@ -400,9 +404,7 @@ def simulate_network(
         # W_max stays per sample: bench/selftest.py pins a 50-step chain-run at
         # 61 chain_axes calls (50 steps + 11 samples); stacked, that pin reads 51.
         series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
-
-        def axes(x):
-            return gain * chain_axes(x)
+        axes, scale = chain_axes, gain
     elif protocol == "geometry":
         check(is_connected, "geometry protocol requires a connected topology")
         outside = np.flatnonzero(~in_open_hemisphere(_bloch_batch(kets.reshape(-1, n, 2))))
@@ -413,10 +415,11 @@ def simulate_network(
                 "hemisphere; convergence of the geometric protocol is not guaranteed",
                 stacklevel=2,
             )
-        weights = np.array([tb.weights for tb in topologies]) if listed else t
+        weights = np.array([tb.weights for tb in topologies]) if listed else t.weights
+        scale = 0.5 * gain
 
         def axes(x):
-            return (0.5 * gain) * geometry_axes(_bloch_batch(x), weights)
+            return geometry_axes(_bloch_batch(x, work), weights, work)
     else:
         if n != 2:
             raise ValueError("min-time protocol is defined for exactly 2 qubits")
@@ -428,7 +431,8 @@ def simulate_network(
             return fixed
 
     def step(x):
-        return _step_kets(x, axes(x), cfg.dt)
+        a = axes(x)  # a multiply by 1.0 changes no bit, so it is skipped
+        return _step_kets(x, a if scale == 1.0 else np.multiply(scale, a, out=a), cfg.dt, work)
 
     return _members(*_integrate(kets, step, series, cfg, ("W_max",), keep_samples), batched)
 
@@ -452,9 +456,10 @@ def simulate_sphere(
         raise ValueError(f"{x.shape[-2]} vectors for a {t.n}-node topology")
     if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial vectors must be unit")
+    work = step_work(x.shape[:-1], ("axes",))
 
     def step(x):
-        return _rotate_vectors(x, geometry_axes(x, t), cfg.dt)
+        return _rotate_vectors(x, geometry_axes(x, t.weights, work), cfg.dt)
 
     series = {"max_angle": _max_pairwise_angle, "pure_state_error": _pairwise_error}
     return _members(*_integrate(x, step, series, cfg), batched)

@@ -21,6 +21,7 @@ from qubitnet.core import (
     ket_from_bloch,
     row_cross,
     so3_from_su2,
+    step_work,
     su2_from_axis_angle,
 )
 from qubitnet.decoherence import NoiseParams, _coherence, simulate_protected_pair
@@ -911,6 +912,102 @@ class TestStopMetric:
             assert series[-1] < 1e-2 <= series[-2]
             runs[metric] = traj.sample_times[-1]
         assert runs["pure_state_error"] < runs["max_angle"]
+
+
+def _hand_stepped(kets, t, protocol, gain, cfg):
+    """Every sample of a network run stepped by hand, (S, ..., N, 2): the
+    kernels called without a workspace, the axes scaled by a plain multiply."""
+    weights = np.array([tb.weights for tb in t]) if isinstance(t, list) else t.weights
+    x, snaps = kets, [kets]
+    for _ in range(cfg.n_steps):
+        if protocol == "chain":
+            axes = gain * chain_axes(x)
+        else:
+            axes = (0.5 * gain) * geometry_axes(dynamics._bloch_batch(x), weights)
+        x = dynamics._step_kets(x, axes, cfg.dt)
+        snaps.append(x)
+    return np.array(snaps)
+
+
+def _nan_work(made):
+    """A step_work that fills every buffer with NaN (masks with True) and
+    records each workspace it makes in made."""
+    def factory(*args):
+        work = step_work(*args)
+        for buf in work.values():
+            buf[...] = True if buf.dtype == bool else np.nan
+        made.append(work)
+        return work
+    return factory
+
+
+@st.composite
+def workspace_runs(draw):
+    """(kets, topology or list, protocol, gain): chain or geometric, one
+    network or a batch, one shared topology or a list of them."""
+    protocol = draw(st.sampled_from(["chain", "geometry"]))
+    gain = draw(st.sampled_from([1.0, 2.0, 0.7]))
+    n = draw(st.integers(2, 5))
+    size = draw(st.sampled_from([None, 1, 3]))
+    listed = size is not None and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # points in a cap about +z: inside an open hemisphere, so no warning
+    pts = np.array([0.0, 0.0, 1.0]) + 0.6 * rng.normal(size=(size or 1, n, 3))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+    kets = kets if size else kets[0]
+    shared = [chain(n)] if protocol == "chain" else [chain(n), complete(n)]
+    t = draw(st.sampled_from(shared))
+    if listed:
+        t = [draw(st.sampled_from(shared)) for _ in range(size)]
+    return kets, t, protocol, gain
+
+
+class TestStepWorkspace:
+    """simulate_network steps every member through one workspace made once
+    per run; its bytes are those of the kernels called without one."""
+
+    CFG = IntegratorConfig(dt=1e-2, t_max=2.0)  # 200 steps, every one kept
+
+    @staticmethod
+    def _samples(run):
+        runs = run if isinstance(run, list) else [run]
+        return np.stack([traj.samples for traj in runs], axis=1)  # (S, B, N, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(workspace_runs())
+    def test_equals_the_hand_stepped_kernels(self, case):
+        kets, t, protocol, gain = case
+        want = _hand_stepped(kets, t, protocol, gain, self.CFG)
+        want = want if kets.ndim == 3 else want[:, None]
+        got = self._samples(simulate_network(kets, t, protocol, self.CFG, gain=gain))
+        assert got.tobytes() == want.tobytes()
+        # no buffer is read before it is written: NaN-filled ones change nothing
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "step_work", _nan_work(made))
+            run = simulate_network(kets, t, protocol, self.CFG, gain=gain)
+        assert self._samples(run).tobytes() == want.tobytes()
+        # the kept samples are not views of a workspace: overwriting them all
+        # after the run leaves the samples as they were
+        kept = [traj.samples for traj in (run if isinstance(run, list) else [run])]
+        buffers = [buf for work in made for buf in work.values()]
+        assert buffers and not any(np.shares_memory(s, buf) for s in kept for buf in buffers)
+        for buf in buffers:
+            buf[...] = True if buf.dtype == bool else np.nan
+        assert self._samples(run).tobytes() == want.tobytes()
+
+    def test_sphere_equals_the_hand_stepped_kernels(self):
+        rng = np.random.default_rng(81)
+        x = np.array([0.0, 0.0, 1.0]) + 0.6 * rng.normal(size=(3, 4, 3))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        t = complete(4)
+        want = [x]
+        for _ in range(self.CFG.n_steps):
+            want.append(dynamics._rotate_vectors(want[-1], geometry_axes(want[-1], t),
+                                                 self.CFG.dt))
+        got = np.stack([traj.samples for traj in simulate_sphere(x, t, self.CFG)], axis=1)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def _per_sample_driver(x, step, record, names, cfg):

@@ -35,11 +35,15 @@ SEEDS = (0, 1, 7)
 # complete graph) and a 10-member chain-protocol batch (gain 1), each over
 # 20 000 steps (every member runs to t_max). min-time-heatmap: the runs
 # kept for their settling times alone, 1 024 cells at the defaults, and
-# 32 400 cells of which 180 settle at t = 0.
+# 32 400 cells of which 180 settle at t = 0. sphere-twin-check: 20 geometric
+# networks at gain 1 (axes scaled by 0.5) and their sphere twins, over 5 000
+# steps. grid-run: one unbatched geometric network over 50 000 steps.
 LONG_RUNS = [["coherence-protect", "--n-traj", "100", "--dt", "1e-4", "--seed", "0"],
              ["qcme-compare", "--n-seeds", "10", "--seed", "0"],
              ["min-time-heatmap"],
-             ["min-time-heatmap", "--resolution", "180", "--dt", "5e-2"]]
+             ["min-time-heatmap", "--resolution", "180", "--dt", "5e-2"],
+             ["sphere-twin-check"],
+             ["grid-run"]]
 
 
 def tiny_runs() -> list[list[str]]:
