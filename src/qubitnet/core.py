@@ -156,30 +156,12 @@ def conjugate(rho, U) -> np.ndarray:
 _SKEW_FORMS = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
 
 
-def row_cross(a: np.ndarray, b: np.ndarray, out=None, skew=None) -> np.ndarray:
-    """Cross product a x b of matching (..., 3) arrays, row by row, into out if given.
+def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of matching (..., 3) arrays, row by row.
 
-    Two numpy calls whatever the batch: the exact skew matrix [a]_x (into skew, a
-    (..., 9) array, if given), then one contraction with b. Row i sums the products
-    a_j b_k of np.cross with one exact zero, so the values are np.cross's (a fused
+    Two numpy calls whatever the batch: the exact skew matrix [a]_x, then
+    one contraction with b. Row i sums the products a_j b_k of np.cross
+    with one exact zero, so the values are np.cross's (a fused
     multiply-add in another build could move the last bit).
     """
-    skew = np.matmul(a, _SKEW_FORMS, out=skew).reshape(a.shape + (3,))
-    return np.einsum("...ij,...j->...i", skew, b, out=out)
-
-
-def step_work(lead: tuple, parts=("ket", "bloch", "axes")) -> dict:
-    """Scratch arrays, each written before it is read, of one network step over kets
-    lead + (2,): one per run, or a kernel's own part when it is called without one."""
-    def e(*tail):
-        return np.empty(lead + tail)
-    w = dict(wu=e(3), skew=e(9), axes=e(3)) if "axes" in parts else {}
-    if "ket" in parts:
-        w.update(sq=e(3), omega=e(), phi=e(), sin=e(), div=e(), zero=np.empty(lead, bool),
-                 coef=e(4), step=e(16))
-        w.update(sin_col=w["sin"][..., None], cos=w["coef"][..., 0], rot=w["coef"][..., 1:],
-                 step44=w["step"].reshape(lead + (4, 4)))
-    if "bloch" in parts:
-        w.update(forms=e(12), u=e(3))
-        w["forms34"] = w["forms"].reshape(lead + (3, 4))
-    return w
+    return np.einsum("...ij,...j->...i", (a @ _SKEW_FORMS).reshape(a.shape + (3,)), b)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MINUS_I_PAULI_REAL, row_cross, step_work
+from .core import MINUS_I_PAULI_REAL, row_cross
 from .metrics import lyapunov_decay_terms, quantum_average
 from .protocols import (
     chain_axes,
@@ -47,8 +47,12 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        if not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1:
+            raise ValueError(f"sample_every must be an integer >= 1, got {self.sample_every!r}")
+        # W_max is <= 0, every other series >= 0: other thresholds stop at once or never
+        sign, word = (-1.0, "negative") if self.stop_metric == "W_max" else (1.0, "positive")
+        if self.stop_threshold is not None and not 0.0 < sign * self.stop_threshold < math.inf:
+            raise ValueError(f"stop_threshold of {self.stop_metric} must be finite and {word}")
 
     @property
     def n_steps(self) -> int:
@@ -118,12 +122,10 @@ _BLOCH_FORMS = np.array([
 ], dtype=float)
 
 
-def _bloch_batch(kets: np.ndarray, work=None) -> np.ndarray:
-    """Bloch vectors of a (..., 2) ket batch, shape (..., 3), into work["u"]."""
+def _bloch_batch(kets: np.ndarray) -> np.ndarray:
+    """Bloch vectors of a (..., 2) ket batch, shape (..., 3), from the real view."""
     r = np.ascontiguousarray(kets, dtype=complex).view(float)
-    w = step_work(r.shape[:-1], ("bloch",)) if work is None else work
-    np.matmul(r, _BLOCH_FORMS, out=w["forms"])
-    return np.einsum("...pj,...j->...p", w["forms34"], r, out=w["u"])
+    return np.einsum("...pj,...j->...p", (r @ _BLOCH_FORMS).reshape(r.shape[:-1] + (3, 4)), r)
 
 
 # (cos phi, sin(phi) e) @ _STEP_FORMS is the real 4x4 form of
@@ -131,15 +133,26 @@ def _bloch_batch(kets: np.ndarray, work=None) -> np.ndarray:
 _STEP_FORMS = np.concatenate([np.eye(4)[None], MINUS_I_PAULI_REAL]).reshape(4, 16)
 
 
+def step_work(lead: tuple) -> dict:
+    """Scratch arrays of _step_kets for kets lead + (2,), each written before it is read."""
+    def e(*tail):
+        return np.empty(lead + tail)
+    w = dict(sq=e(3), omega=e(), phi=e(), sin=e(), div=e(), zero=np.empty(lead, bool),
+             coef=e(4), step=e(16))
+    w.update(sin_col=w["sin"][..., None], cos=w["coef"][..., 0], rot=w["coef"][..., 1:],
+             step44=w["step"].reshape(lead + (4, 4)))
+    return w
+
+
 def _step_kets(kets: np.ndarray, axes: np.ndarray, dt: float, work=None) -> np.ndarray:
     """Vectorized exp(-i dt n.sigma) on a (..., 2) ket batch; exactly unitary.
 
     Works on the real (Re a, Im a, Re b, Im b) view of the kets. Each entry of the real
     step matrix is one coefficient times 0 or +-1, so building it is exact and every row's
-    result depends only on that row. Temporaries go into work; the kets returned are fresh.
+    result depends only on that row. Temporaries go into work, a step_work; new kets are returned.
     """
     r = np.ascontiguousarray(kets, dtype=complex).view(float)
-    w = step_work(r.shape[:-1], ("ket",)) if work is None else work
+    w = step_work(r.shape[:-1]) if work is None else work
     omega, phi, sin = w["omega"], w["phi"], w["sin"]
     np.sqrt(np.add.reduce(np.multiply(axes, axes, out=w["sq"]), -1, out=omega), out=omega)
     np.cos(np.multiply(omega, dt, out=phi), out=w["cos"])
@@ -419,7 +432,7 @@ def simulate_network(
         scale = 0.5 * gain
 
         def axes(x):
-            return geometry_axes(_bloch_batch(x, work), weights, work)
+            return geometry_axes(_bloch_batch(x), weights)
     else:
         if n != 2:
             raise ValueError("min-time protocol is defined for exactly 2 qubits")
@@ -456,10 +469,9 @@ def simulate_sphere(
         raise ValueError(f"{x.shape[-2]} vectors for a {t.n}-node topology")
     if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("initial vectors must be unit")
-    work = step_work(x.shape[:-1], ("axes",))
 
     def step(x):
-        return _rotate_vectors(x, geometry_axes(x, t.weights, work), cfg.dt)
+        return _rotate_vectors(x, geometry_axes(x, t), cfg.dt)
 
     series = {"max_angle": _max_pairwise_angle, "pure_state_error": _pairwise_error}
     return _members(*_integrate(x, step, series, cfg), batched)

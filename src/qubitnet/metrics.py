@@ -24,8 +24,8 @@ class SettlingSpec:
     metric: str = "V"
 
     def __post_init__(self):
-        if self.threshold <= 0.0:
-            raise ValueError("settling threshold must be positive")
+        if not 0.0 < self.threshold < np.inf:  # NaN fails both comparisons
+            raise ValueError("settling threshold must be finite and positive")
 
 
 def lyapunov_decay_terms(kets) -> np.ndarray:

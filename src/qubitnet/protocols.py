@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import MINUS_I_PAULI_REAL, as_unit, row_cross, step_work
+from .core import MINUS_I_PAULI_REAL, as_unit, row_cross
 from .topology import Topology
 
 DEGENERACY_TOL = 1e-9
@@ -103,19 +103,17 @@ def two_qubit_closed_form_axis(
     )
 
 
-def geometry_axes(x: np.ndarray, t: Topology | np.ndarray, work=None) -> np.ndarray:
+def geometry_axes(x: np.ndarray, t: Topology | np.ndarray) -> np.ndarray:
     """Geometric-protocol axes x_i x sum_j w_ij x_j for all qubits, shape (..., N, 3).
 
     Leading axes index independent networks on the topology t, or on
     their own weights when t is an (..., N, N) stack matching them. The
     axis is perpendicular to x_i, and projecting the neighbour sum onto
     the tangent plane at x_i would change nothing, since x_i x x_i = 0.
-    A zero axis is a legitimate output at equilibria. Written into work["axes"].
+    A zero axis is a legitimate output at equilibria.
     """
     x = np.asarray(x, dtype=float)
-    w = step_work(x.shape[:-1], ("axes",)) if work is None else work
-    wu = np.matmul(t.weights if isinstance(t, Topology) else t, x, out=w["wu"])
-    return row_cross(x, wu, w["axes"], w["skew"])
+    return row_cross(x, (t.weights if isinstance(t, Topology) else t) @ x)
 
 
 def qubit_permutation(n: int, perm) -> np.ndarray:

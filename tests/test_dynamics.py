@@ -21,7 +21,6 @@ from qubitnet.core import (
     ket_from_bloch,
     row_cross,
     so3_from_su2,
-    step_work,
     su2_from_axis_angle,
 )
 from qubitnet.decoherence import NoiseParams, _coherence, simulate_protected_pair
@@ -33,6 +32,7 @@ from qubitnet.dynamics import (
     simulate_network,
     simulate_qcme,
     simulate_sphere,
+    step_work,
 )
 from qubitnet.metrics import (
     SettlingSpec,
@@ -69,6 +69,27 @@ class TestIntegratorConfig:
     def test_rejects_non_finite(self, kw):
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(**kw)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_stop_threshold(self, threshold):
+        # NaN, 0 and -1 would never stop a run, inf would stop it at the first sample
+        with pytest.raises(ValueError, match="stop_threshold of V must be finite and positive"):
+            IntegratorConfig(stop_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -math.inf, 0.0, 1.0])
+    def test_rejects_bad_w_max_stop_threshold(self, threshold):
+        # W_max <= 0: a stop on it takes a finite negative threshold
+        with pytest.raises(ValueError, match="W_max must be finite and negative"):
+            IntegratorConfig(stop_threshold=threshold, stop_metric="W_max")
+        assert IntegratorConfig(stop_threshold=-0.05, stop_metric="W_max").stop_threshold == -0.05
+
+    @pytest.mark.parametrize("every", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_sample_every(self, every):
+        with pytest.raises(ValueError, match="sample_every must be an integer"):
+            IntegratorConfig(sample_every=every)
+
+    def test_accepts_numpy_integer_sample_every(self):
+        assert IntegratorConfig(sample_every=np.int64(5)).sample_every == 5
 
 
 class TestStepKet:
@@ -889,7 +910,7 @@ class TestStopMetric:
         monkeypatch.setattr(dynamics, "_step_kets", no_step)
         kets = np.array([ket_from_bloch(u) for u in
                          ([0, 0, 1], [0.6, 0, 0.8], [0, 0.6, 0.8], [0.6, 0, 0.8])])
-        cfg = IntegratorConfig(t_max=0.1, stop_threshold=1e-2, stop_metric="W_max")
+        cfg = IntegratorConfig(t_max=0.1, stop_threshold=-1e-2, stop_metric="W_max")
         with pytest.raises(ValueError, match="pure_state_error"):
             simulate_network(kets, grid(2), "geometry", cfg)
 

@@ -154,6 +154,11 @@ class TestSettlingTime:
         with pytest.raises(ValueError):
             SettlingSpec(threshold=0.0, metric="V")
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_spec_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SettlingSpec(threshold=threshold, metric="V")
+
 
 class TestQuantumAverage:
     def _product(self, us):

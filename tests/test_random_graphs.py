@@ -1,13 +1,19 @@
 """Properties over random connected weighted graphs: the edge-list
-(manifest) round trip, the quantum/sphere twin agreement, batches with a
-topology per member and unit norm over long runs."""
+(manifest) round trip, the quantum/sphere twin agreement, a geometric
+run staying inside an open hemisphere, batches with a topology per
+member and unit norm over long runs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitnet.dynamics import IntegratorConfig, simulate_network, simulate_sphere
+from qubitnet.dynamics import (
+    IntegratorConfig,
+    in_open_hemisphere,
+    simulate_network,
+    simulate_sphere,
+)
 from qubitnet.experiments import hemisphere_points, kets_from_points
 from qubitnet.topology import Topology, chain, from_edge_list, is_connected
 
@@ -56,6 +62,19 @@ def test_twin_agreement(t, seed):
     sphere = simulate_sphere(points, t, cfg)
     assert cfg.n_steps == 500
     assert np.max(np.abs(quantum.bloch() - sphere.samples)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0]))
+def test_geometric_run_stays_in_an_open_hemisphere(t, seed, gain):
+    """A geometric run from Bloch vectors inside an open hemisphere keeps
+    them inside one at every kept sample over 500 steps."""
+    start = hemisphere_points(np.random.default_rng(seed), t.n)
+    assume(in_open_hemisphere(start))
+    cfg = IntegratorConfig(dt=1e-2, t_max=5.0, sample_every=10)
+    traj = simulate_network(kets_from_points(start), t, "geometry", cfg, gain=gain)
+    assert cfg.n_steps == 500
+    assert np.all(in_open_hemisphere(traj.bloch()))
 
 
 @st.composite
