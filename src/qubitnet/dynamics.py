@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MINUS_I_PAULI_REAL, row_cross
-from .metrics import lyapunov_decay_terms, quantum_average
+from .metrics import SettlingSpec, lyapunov_decay_terms, quantum_average
 from .protocols import (
     chain_axes,
     geometry_axes,
@@ -49,10 +49,8 @@ class IntegratorConfig:
             raise ValueError("t_max must be at least one step")
         if not isinstance(self.sample_every, (int, np.integer)) or self.sample_every < 1:
             raise ValueError(f"sample_every must be an integer >= 1, got {self.sample_every!r}")
-        # W_max is <= 0, every other series >= 0: other thresholds stop at once or never
-        sign, word = (-1.0, "negative") if self.stop_metric == "W_max" else (1.0, "positive")
-        if self.stop_threshold is not None and not 0.0 < sign * self.stop_threshold < math.inf:
-            raise ValueError(f"stop_threshold of {self.stop_metric} must be finite and {word}")
+        if self.stop_threshold is not None:  # a stop is a settling threshold
+            SettlingSpec(self.stop_threshold, self.stop_metric)
 
     @property
     def n_steps(self) -> int:
@@ -67,8 +65,6 @@ class Trajectory:
     sample_times: np.ndarray
     samples: np.ndarray | None  # (S, N, 2) complex kets or (S, N, 3) Bloch
     metrics: dict[str, np.ndarray] = field(default_factory=dict)
-    # "threshold" when a stop metric fell below the stop threshold, else "t_max"
-    stop_reason: str = "t_max"
 
     def __post_init__(self):
         if np.any(np.diff(self.sample_times) <= 0.0):
@@ -273,17 +269,16 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_sampl
 
     step(x) returns the next state of the whole of x. series maps each
     metric name to a function giving one value per state of a stack of
-    states with any leading axes. Member b stops at the first sample
+    states with any leading axes. Member b stops at the first kept sample
     ends[b] (-1: none) whose cfg.stop_metric value falls below
-    cfg.stop_threshold, testing from the first sample after a step. Stopped
+    cfg.stop_threshold, sample 0 included, as settling_time reads it. Stopped
     members are stepped on until the last member stops, which ends the run.
 
     Only the stop metric (when a threshold is set) and the series named
     in per_sample are evaluated at every kept sample; the others after the
     run over the stacked samples, in blocks of at most _SERIES_BLOCK
     samples x members x N^2, so their temporaries stay small. A run with
-    keep_samples False keeps no snapshot and no series, only its ends, and
-    tests sample 0 too, as settling_time does.
+    keep_samples False keeps no snapshot and no series, only its ends.
 
     What a run keeps may take at most _MAX_SAMPLE_BYTES. A run without a stop
     threshold that would keep more is rejected before its first step; a
@@ -310,12 +305,17 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_sampl
     live = {m: [f(x)] for m, f in series.items() if keep_samples and m in (stop, *per_sample)}
     kept = x.nbytes if keep_samples else 8  # bytes a sample keeps: its snapshot or its time
     ends = np.full(1 if single else x.shape[0], -1)  # stop sample of each member
-    if not keep_samples:
-        ends[series[stop](x) < cfg.stop_threshold] = 0
-    for k in range(1, n_steps + 1):
-        x = step(x)
-        if k % cfg.sample_every and k != n_steps:
-            continue
+    k = 0
+    while True:  # test the kept sample at step k, then step to the next one
+        if stop is not None:
+            value = live[stop][-1] if keep_samples else series[stop](x)
+            ends[(ends < 0) & (value < cfg.stop_threshold)] = len(steps) - 1
+            if (ends >= 0).all():
+                break
+        if k == n_steps:
+            break
+        for k in range(k + 1, min(k + cfg.sample_every, n_steps) + 1):
+            x = step(x)
         steps.append(k)
         if keep_samples:
             snaps.append(x)
@@ -325,11 +325,6 @@ def _integrate(x, step, series, cfg: IntegratorConfig, per_sample=(), keep_sampl
                              f"{stop} threshold; raise dt or the threshold")
         for m in live:
             live[m].append(series[m](x))
-        if stop is not None:
-            value = live[stop][-1] if keep_samples else series[stop](x)
-            ends[(ends < 0) & (value < cfg.stop_threshold)] = len(steps) - 1
-            if (ends >= 0).all():
-                break
     times = np.array(steps) * cfg.dt
     metrics = {m: np.column_stack(values) for m, values in live.items()}  # (B, S)
     del live  # its lists go, like the snapshots, before the samples are copied
@@ -356,9 +351,8 @@ def _members(times, samples, metrics, ends, batched: bool):
     else:
         cuts = np.where(ends < 0, len(times), ends + 1)  # samples each member keeps
         runs = [Trajectory(times[:c], None if samples is None else samples[b, :c],
-                           {m: v[b, :c] for m, v in metrics.items()},
-                           "t_max" if e < 0 else "threshold")
-                for b, (c, e) in enumerate(zip(cuts, ends))]
+                           {m: v[b, :c] for m, v in metrics.items()})
+                for b, c in enumerate(cuts)]
     return runs if batched else runs[0]
 
 
@@ -532,10 +526,10 @@ def simulate_qcme(
     for start in range(0, len(times), _QCME_BLOCK):
         block = slice(start, start + _QCME_BLOCK)
         d[:, block] = np.linalg.norm(states(times[block]) - rho_bar, 2, axis=(-2, -1))
-        below = d[:, 1:block.stop] < stop  # the stop test starts after step 0
+        below = d[:, :block.stop] < stop
         if below.any(axis=1).all():
             break
-    ends = np.where(below.any(axis=1), below.argmax(axis=1) + 1, -1)
+    ends = np.where(below.any(axis=1), below.argmax(axis=1), -1)
     return _members(times, None, {"composite_distance": d}, ends, rho.ndim == 3)
 
 

@@ -24,8 +24,10 @@ class SettlingSpec:
     metric: str = "V"
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < np.inf:  # NaN fails both comparisons
-            raise ValueError("settling threshold must be finite and positive")
+        # W_max is <= 0, every other series >= 0: other thresholds settle at once or never
+        sign, word = (-1.0, "negative") if self.metric == "W_max" else (1.0, "positive")
+        if not 0.0 < sign * self.threshold < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"threshold of {self.metric} must be finite and {word}")
 
 
 def lyapunov_decay_terms(kets) -> np.ndarray:

@@ -73,7 +73,7 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_stop_threshold(self, threshold):
         # NaN, 0 and -1 would never stop a run, inf would stop it at the first sample
-        with pytest.raises(ValueError, match="stop_threshold of V must be finite and positive"):
+        with pytest.raises(ValueError, match="threshold of V must be finite and positive"):
             IntegratorConfig(stop_threshold=threshold)
 
     @pytest.mark.parametrize("threshold", [math.nan, -math.inf, 0.0, 1.0])
@@ -656,8 +656,8 @@ class TestBatch:
         for member, traj in zip(pts, trajs):
             _assert_same_run(traj, run(member))
         n_full = trajs[2].sample_times.size
-        # settled at t = 0: stops at the first test, one step later
-        assert trajs[0].sample_times.size == 2
+        # settled at t = 0: keeps sample 0 only
+        assert trajs[0].sample_times.size == 1
         assert 2 < trajs[1].sample_times.size < n_full
         return trajs, n_full
 
@@ -972,8 +972,10 @@ def workspace_runs(draw):
     size = draw(st.sampled_from([None, 1, 3]))
     listed = size is not None and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # points in a cap about +z: inside an open hemisphere, so no warning
+    # points about +z, reflected into the upper hemisphere as
+    # experiments.hemisphere_points does: inside an open hemisphere, so no warning
     pts = np.array([0.0, 0.0, 1.0]) + 0.6 * rng.normal(size=(size or 1, n, 3))
+    pts[..., 2] = np.abs(pts[..., 2])
     pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
     kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
     kets = kets if size else kets[0]
@@ -1041,17 +1043,24 @@ def _per_sample_driver(x, step, record, names, cfg):
     single = x.ndim == 2
     steps, snaps, values = [0], [x], [np.stack(record(x))]
     ends = np.full(1 if single else x.shape[0], -1)
+
+    def settled():
+        """Stop the members below the threshold at the last sample; True once all are."""
+        if stop is None:
+            return False
+        ends[(ends < 0) & (values[-1][stop] < cfg.stop_threshold)] = len(steps) - 1
+        return (ends >= 0).all()
+
     n_steps = cfg.n_steps
-    for k in range(1, n_steps + 1):
-        x = step(x)
-        if k % cfg.sample_every and k != n_steps:
-            continue
-        steps.append(k)
-        snaps.append(x)
-        values.append(np.stack(record(x)))
-        if stop is not None:
-            ends[(ends < 0) & (values[-1][stop] < cfg.stop_threshold)] = len(steps) - 1
-            if (ends >= 0).all():
+    if not settled():  # sample 0 is tested too, as settling_time reads it
+        for k in range(1, n_steps + 1):
+            x = step(x)
+            if k % cfg.sample_every and k != n_steps:
+                continue
+            steps.append(k)
+            snaps.append(x)
+            values.append(np.stack(record(x)))
+            if settled():
                 break
     if single:  # recorded as a batch of one
         snaps, values = [s[None] for s in snaps], [v[:, None] for v in values]
@@ -1135,6 +1144,15 @@ def split_runs(draw):
     return kind, pts, topology, cfg, block
 
 
+def _assert_ends_at_settling(run, cfg):
+    """Each member of a thresholded run ends at its settling time on the
+    config's stop, or at n_steps * dt when it never settles."""
+    spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
+    for traj in run if isinstance(run, list) else [run]:
+        settle = settling_time(traj, spec)
+        assert traj.sample_times[-1] == (cfg.n_steps * cfg.dt if settle is None else settle)
+
+
 def _assert_records_equal(got, want):
     """Times, (B, S, ...) samples, (B, S) series in order, and stop samples."""
     (times, samples, metrics, ends), (w_times, w_samples, w_metrics, w_ends) = got, want
@@ -1169,8 +1187,10 @@ class TestSplitRecord:
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("ignore", UserWarning)  # outside a hemisphere
             mp.setattr(dynamics, "_SERIES_BLOCK", block)
-            (_, got), (_, want) = _run_and_oracle(run, record)
+            (result, got), (_, want) = _run_and_oracle(run, record)
         _assert_records_equal(got, want)
+        if cfg.stop_threshold is not None:
+            _assert_ends_at_settling(result, cfg)
 
     def test_protected_pair_equals_per_sample_oracle(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_SERIES_BLOCK", 100)  # 4 samples a block
@@ -1206,19 +1226,20 @@ class TestSplitRecord:
         assert trajs[0].sample_times.size == 1001
         assert peak - 2 * kept < 2**20
 
-    def test_stop_reason_per_member(self):
+    def test_stop_sample_per_member(self):
         rng = np.random.default_rng(61)
         cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=2, stop_threshold=0.1)
         pts = _mixed_batch(rng, 4, 1e-2)
         kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
         trajs = simulate_network(kets, chain(4), "chain", cfg)
         # settled at t = 0, stopped part way, never stopped
-        assert [t.sample_times.size for t in trajs][::2] == [2, 51]
-        assert 2 < trajs[1].sample_times.size < 51
-        assert [t.stop_reason for t in trajs] == ["threshold", "threshold", "t_max"]
-        assert simulate_network(kets[0], chain(4), "chain", cfg).stop_reason == "threshold"
+        assert [t.sample_times.size for t in trajs][::2] == [1, 51]
+        assert 1 < trajs[1].sample_times.size < 51
+        spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
+        assert [settling_time(t, spec) for t in trajs] == [0.0, trajs[1].sample_times[-1], None]
+        assert simulate_network(kets[0], chain(4), "chain", cfg).sample_times.tolist() == [0.0]
         unbounded = IntegratorConfig(dt=1e-2, t_max=0.1)
-        assert simulate_network(kets[0], chain(4), "chain", unbounded).stop_reason == "t_max"
+        assert simulate_network(kets[0], chain(4), "chain", unbounded).sample_times.size == 11
 
 
 @st.composite
@@ -1258,6 +1279,7 @@ class TestRunsWithoutSamples:
             got, want = [got], [want]
         spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
         assert got == [settling_time(w, spec) for w in want]
+        _assert_ends_at_settling(want, cfg)
         return got
 
     @settings(max_examples=40, deadline=None)
@@ -1266,8 +1288,7 @@ class TestRunsWithoutSamples:
         self._settling_times(*case)
 
     def test_settled_at_t0_and_never_settled(self):
-        # sample 0 is tested once, as settling_time does; the stop test of
-        # a sample-keeping run starts after the first step
+        # sample 0 is tested in both modes, as settling_time reads it
         rng = np.random.default_rng(61)
         cfg = IntegratorConfig(dt=1e-2, t_max=1.0, sample_every=2, stop_threshold=0.1)
         kets = np.array([[ket_from_bloch(u) for u in p] for p in _mixed_batch(rng, 4, 1e-2)])
@@ -1291,6 +1312,21 @@ class TestRunsWithoutSamples:
             tracemalloc.stop()
         assert peak < 64 * (cfg.n_steps + 1) * 8
         assert got == [None] * 64
+
+    @pytest.mark.parametrize("keep_samples", [True, False])
+    def test_settled_at_t0_takes_no_step(self, monkeypatch, keep_samples):
+        def no_step(*args):
+            raise AssertionError("stepped a batch settled at t = 0")
+
+        monkeypatch.setattr(dynamics, "_step_kets", no_step)
+        # every member agrees at t = 0, so its V is 0 to rounding
+        kets = np.tile(sphere_kets(np.random.default_rng(8), 1), (2, 3, 1))
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0, stop_threshold=1e-6)
+        got = simulate_network(kets, chain(3), "chain", cfg, keep_samples=keep_samples)
+        if keep_samples:
+            assert [t.sample_times.tolist() for t in got] == [[0.0], [0.0]]
+        else:
+            assert got == [0.0, 0.0]
 
     def test_needs_a_stop_threshold(self, monkeypatch):
         def no_step(*args):
@@ -1347,7 +1383,9 @@ class TestSampleBudget:
         cfg = IntegratorConfig(dt=1e-2, t_max=100.0, sample_every=5, stop_threshold=0.1)
         want = simulate_network(kets, chain(4), "chain", cfg)
         kept = max(t.sample_times.size for t in want)
-        assert all(t.stop_reason == "threshold" for t in want) and kept < 2002 // 4
+        spec = SettlingSpec(cfg.stop_threshold)
+        assert all(settling_time(t, spec) == t.sample_times[-1] for t in want)
+        assert kept < 2002 // 4
         monkeypatch.setattr(dynamics, "_MAX_SAMPLE_BYTES", kept * kets.nbytes)
         got = simulate_network(kets, chain(4), "chain", cfg)
         for g, w in zip(got, want):
@@ -1362,7 +1400,8 @@ class TestSampleBudget:
         kets = np.tile(sphere_kets(np.random.default_rng(8), 1), (3, 1))
         cfg = IntegratorConfig(dt=1e-9, t_max=50.0, stop_threshold=1e-6)
         traj = simulate_network(kets, chain(3), "chain", cfg)
-        assert traj.sample_times.size == 2 and traj.stop_reason == "threshold"
+        assert traj.sample_times.tolist() == [0.0]
+        assert settling_time(traj, SettlingSpec(cfg.stop_threshold)) == 0.0
 
 
 class TestSimulateQcme:
@@ -1425,24 +1464,27 @@ class TestSimulateQcme:
             np.testing.assert_array_equal(run.metrics["composite_distance"],
                                           one.metrics["composite_distance"])
         stops = [len(r.sample_times) - 1 for r in runs]
-        # the symmetric member stops at the first sample after a step, the
-        # narrow spread part way, and the wide spread runs to t_max
-        assert stops[0] == 1
-        assert 1 < stops[1] < stops[2]
+        # the symmetric member stops at sample 0, the narrow spread part
+        # way, and the wide spread runs to t_max
+        assert stops[0] == 0
+        assert 0 < stops[1] < stops[2]
         assert runs[2].sample_times[-1] == pytest.approx(3.0)
         assert runs[2].metrics["composite_distance"][-1] >= 1e-2
         d = runs[1].metrics["composite_distance"]
         assert d[-1] < 1e-2 <= d[-2]
 
-    def test_stop_reason_per_member(self):
+    def test_stop_sample_per_member(self):
         rho = self._members()
         cfg = IntegratorConfig(dt=1e-2, t_max=3.0, sample_every=10,
                                stop_threshold=1e-2, stop_metric="composite_distance")
         runs = simulate_qcme(rho, chain(3), cfg)
         # settled at t = 0, stopped part way, never stopped
-        assert [r.stop_reason for r in runs] == ["threshold", "threshold", "t_max"]
+        spec = SettlingSpec(cfg.stop_threshold, cfg.stop_metric)
+        assert [settling_time(r, spec) for r in runs] == [0.0, runs[1].sample_times[-1], None]
+        _assert_ends_at_settling(runs, cfg)
+        assert simulate_qcme(rho[0], chain(3), cfg).sample_times.tolist() == [0.0]
         unbounded = IntegratorConfig(dt=1e-2, t_max=0.5)
-        assert simulate_qcme(rho[0], chain(3), unbounded).stop_reason == "t_max"
+        assert simulate_qcme(rho[0], chain(3), unbounded).sample_times[-1] == 0.5
 
     def test_stop_metric_must_be_the_distance(self):
         cfg = IntegratorConfig(dt=1e-2, t_max=1.0, stop_threshold=1e-2)

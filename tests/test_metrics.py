@@ -159,6 +159,12 @@ class TestSettlingTime:
         with pytest.raises(ValueError, match="finite and positive"):
             SettlingSpec(threshold=threshold, metric="V")
 
+    def test_spec_sign_follows_the_metric(self):
+        # W_max is never above 0, so a settling time on it takes a negative threshold
+        assert SettlingSpec(-1e-2, "W_max").threshold == -1e-2
+        with pytest.raises(ValueError, match="threshold of W_max must be finite and negative"):
+            SettlingSpec(1e-2, "W_max")
+
 
 class TestQuantumAverage:
     def _product(self, us):

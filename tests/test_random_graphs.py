@@ -108,7 +108,6 @@ def test_mixed_batch_members_equal_their_one_protocol_runs(batch, threshold):
         one = simulate_network(member, t, protocol, cfg, gain=gain)
         assert set(run.metrics) == {"V", "pure_state_error"} | (
             {"W_max"} if protocol == "chain" else set())
-        assert run.stop_reason == one.stop_reason
         for got, want in [(run.sample_times, one.sample_times), (run.samples, one.samples),
                           (run.metrics["V"], one.metrics["V"]),
                           (run.metrics["pure_state_error"], one.metrics["pure_state_error"])]:
