@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import I2, SIGMA_Z
+from .core import SIGMA_Z
 from .dynamics import IntegratorConfig, _integrate
 
 #: warm-up window with feedback off, and the floor on the averaged
@@ -141,10 +141,16 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
 
     # vecdot is the dot product np.linalg.norm takes for one vector
     omega = np.sqrt(np.vecdot(axis, axis))
-    # a zero axis gives nhat = 0 and u = I exactly
-    nhat = _axis_matrix(axis / np.where(omega > 0.0, omega, 1.0)[..., None])
-    phi = (omega * dt)[..., None, None]
-    u = np.cos(phi) * I2 - 1j * np.sin(phi) * nhat
+    phi = omega * dt
+    # u = cos(phi) I - i sin(phi) nhat.sigma, entry by entry; a zero axis
+    # gives sn = 0 and u = I
+    sn = np.sin(phi)[..., None] * (axis / np.where(omega > 0.0, omega, 1.0)[..., None])
+    u = np.empty(phi.shape + (2, 2), dtype=complex)
+    re, im = u.real, u.imag
+    re[..., 0, 0] = re[..., 1, 1] = np.cos(phi)
+    re[..., 0, 1], re[..., 1, 0] = -sn[..., 1], sn[..., 1]
+    im[..., 0, 0], im[..., 1, 1] = -sn[..., 2], sn[..., 2]
+    im[..., 0, 1] = im[..., 1, 0] = -sn[..., 0]
     rho = u @ rho @ u.swapaxes(-1, -2).conj()
 
     rho = rho + _drift(rho, p) * dt
@@ -173,20 +179,20 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
     return rho, dy
 
 
-def feedback_hamiltonian(rho_i, rho_j, c0_i, yz_i, p: NoiseParams) -> FeedbackAxis:
-    """Equatorial coherence-protection axis for qubit i, over batch axes.
+def feedback_hamiltonian(pair, c0, yz, p: NoiseParams) -> FeedbackAxis:
+    """Equatorial coherence-protection axes of both qubits of each pair.
 
-    mu = Gamma * C_xy(rho_i(0)) / Y_z, rotated to the half-sum of the
-    planar phases of both qubits (two-argument arctangent). Feedback is
-    suspended (zero axis) when the averaged record is below the floor or
-    either qubit sits at the planar origin.
+    pair is (..., 2, 2, 2), qubit q's partner being qubit 1 - q; c0 and yz
+    are (..., 2). mu = Gamma * C_xy(rho_q(0)) / Y_z, rotated to the half-sum
+    of the pair's planar phases. Feedback is suspended (zero axis) below the
+    record floor or if either qubit of the pair sits at the planar origin.
     """
-    s = 2.0 * np.array([np.asarray(rho_i, dtype=complex)[..., 1, 0],  # x + iy of i, then j
-                        np.asarray(rho_j, dtype=complex)[..., 1, 0]])
-    suspended = ((np.abs(yz_i) < RECORD_FLOOR)
-                 | np.logical_or(*(np.hypot(s.real, s.imag) < 1e-9)))
-    phi = np.add(*(0.5 * _LIBM_ATAN2(-s.real, s.imag).astype(float)))
-    mu = np.where(suspended, 0.0, p.gamma_total * c0_i / np.where(suspended, 1.0, yz_i))
+    s = 2.0 * np.asarray(pair, dtype=complex)[..., 1, 0]  # x + iy of each qubit
+    small = np.hypot(s.real, s.imag) < 1e-9
+    suspended = (np.abs(yz) < RECORD_FLOOR) | (small | small[..., ::-1])
+    half = 0.5 * _LIBM_ATAN2(-s.real, s.imag).astype(float)
+    phi = half + half[..., ::-1]  # own phase first, then the partner's
+    mu = np.where(suspended, 0.0, p.gamma_total * c0 / np.where(suspended, 1.0, yz))
     axis = np.zeros(mu.shape + (3,))
     axis[..., 0], axis[..., 1] = mu * np.cos(phi), mu * np.sin(phi)
     return FeedbackAxis(axis, suspended)
@@ -250,7 +256,7 @@ def simulate_protected_pair(
                 noise[:, m] = rng.normal(0.0, math.sqrt(cfg.dt), (len(noise), 2))
         t = k * cfg.dt
         if any_feedback and t >= WARM_UP_TIME:
-            fb = feedback_hamiltonian(x, x[:, ::-1], target, y_sum / t, p)
+            fb = feedback_hamiltonian(x, target, y_sum / t, p)
             np.copyto(axes, fb.axis, where=fb_on[:, None, None])
             suspended += fb.suspended & fb_on[:, None]
         x, dy = sme_step(x, axes, p, noise[k % len(noise)], cfg.dt)

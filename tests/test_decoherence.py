@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qubitnet import decoherence
+from qubitnet import core, decoherence
 from qubitnet.core import density_from_bloch
 from qubitnet.decoherence import (
     WARM_UP_TIME,
@@ -199,7 +200,7 @@ def sme_step_oracle(rho, axis, p, dW, dt):
     omega = np.sqrt(np.vecdot(axis, axis))
     nhat = axis_matrix_oracle(axis / np.where(omega > 0.0, omega, 1.0)[..., None])
     phi = (omega * dt)[..., None, None]
-    u = np.cos(phi) * decoherence.I2 - 1j * np.sin(phi) * nhat
+    u = np.cos(phi) * core.I2 - 1j * np.sin(phi) * nhat
     rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
     rho = rho + decoherence._drift(rho, p) * dt
     if p.eta_z * p.gamma_z > 0.0:
@@ -267,19 +268,15 @@ def axis_stacks(draw):
 
 @st.composite
 def feedback_inputs(draw):
-    """Unbatched qubits or an (M, 2) batch of pairs, with planar-origin
-    qubits, signed zeros and records below the floor."""
+    """One (2, 2, 2) pair or an (M, 2, 2, 2) batch of pairs, with
+    planar-origin qubits, signed zeros and records below the floor."""
     shape = draw(st.sampled_from([(), (3,)]))
     coord = st.one_of(signed_zero, st.sampled_from([1e-10, -1e-10]),
                       st.floats(-0.57, 0.57))
     record = st.one_of(signed_zero, st.floats(-2e-3, 2e-3), st.floats(-5.0, 5.0))
+    pair = density_from_bloch(draw(arrays(float, shape + (2, 3), elements=coord)))
     c0 = draw(arrays(float, (2,), elements=st.floats(0.0, 1.0)))
-    if shape == ():
-        pts = draw(arrays(float, (2, 3), elements=coord))
-        rho = density_from_bloch(pts)
-        return rho[0], rho[1], float(c0[0]), draw(record)
-    rho = density_from_bloch(draw(arrays(float, shape + (2, 3), elements=coord)))
-    return rho, rho[:, ::-1], c0, draw(arrays(float, shape + (2,), elements=record))
+    return pair, c0, draw(arrays(float, shape + (2,), elements=record))
 
 
 class TestOracles:
@@ -292,8 +289,9 @@ class TestOracles:
     @settings(max_examples=80, deadline=None)
     @given(feedback_inputs())
     def test_feedback_hamiltonian(self, inputs):
-        fb = feedback_hamiltonian(*inputs, NoiseParams())
-        axis, suspended = feedback_oracle(*inputs, NoiseParams())
+        pair, c0, yz = inputs
+        fb = feedback_hamiltonian(pair, c0, yz, NoiseParams())
+        axis, suspended = feedback_oracle(pair, pair[..., ::-1, :, :], c0, yz, NoiseParams())
         assert fb.axis.shape == axis.shape and fb.axis.tobytes() == axis.tobytes()
         assert np.shape(fb.suspended) == np.shape(suspended)
         assert np.asarray(fb.suspended).tobytes() == np.asarray(suspended).tobytes()
@@ -306,6 +304,24 @@ class TestOracles:
         got, got_dy = sme_step(rho, axes, NoiseParams(), dw, dt)
         want, want_dy = sme_step_oracle(rho, axes, NoiseParams(), dw, dt)
         assert got.tobytes() == want.tobytes() and got_dy.tobytes() == want_dy.tobytes()
+
+    # sme_step writes its unitary entry by entry: zero, -0, planar, pure-z
+    # and tilted axes on states whose off-diagonal is exactly zero (-0 in
+    # the last), one at a time and as one batch; at dt = 0.3 the 7.0 axes
+    # turn past a quarter turn (cos < 0)
+    @pytest.mark.parametrize("p, dt", [(NoiseParams(), 1e-3),
+                                       (NoiseParams(gamma_r=0.0, gamma_phi=0.0), 0.3)])
+    def test_sme_step_on_zero_entries(self, p, dt):
+        states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([0.7, 0.3]),
+                  np.array([[0.6, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.4]])]
+        axes = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [1.5, -2.0, 0.0],
+                [-1.5, 0.0, -0.0], [0.0, -0.0, 7.0], [-0.0, 0.0, -7.0], [2.0, -0.0, -4.0]]
+        cases = list(itertools.product(states, axes, [0.0, -0.0, 0.01]))
+        batch = tuple(np.array(column) for column in zip(*cases))
+        for rho, axis, dw in [*cases, batch]:
+            got, got_dy = sme_step(rho, axis, p, dw, dt)
+            want, want_dy = sme_step_oracle(rho, axis, p, dw, dt)
+            assert got.tobytes() == want.tobytes() and got_dy.tobytes() == want_dy.tobytes()
 
     # the second pair has a qubit at the planar origin: every feedback
     # member is suspended after warm-up; the 3-step block is forced
@@ -332,26 +348,32 @@ class TestFeedbackHamiltonian:
         p = NoiseParams()
         rho = density_from_bloch([0.5, 0.3, 0.2])
         c0 = 2.0 * abs(rho[1, 0])
-        fb = feedback_hamiltonian(rho, rho, c0, yz_i=0.4, p=p)
-        assert not fb.suspended
-        assert fb.axis[2] == 0.0
-        assert np.linalg.norm(fb.axis) == pytest.approx(
-            p.gamma_total * c0 / 0.4, abs=1e-12
-        )
+        fb = feedback_hamiltonian(np.array([rho, rho]), np.array([c0, c0]),
+                                  np.array([0.4, 0.8]), p)
+        assert not fb.suspended.any()
+        assert np.all(fb.axis[:, 2] == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(fb.axis, axis=-1),
+                                   p.gamma_total * c0 / np.array([0.4, 0.8]),
+                                   rtol=0, atol=1e-12)
 
     def test_suspended_below_record_floor(self):
+        # the floor acts on each qubit's own record
         p = NoiseParams()
         rho = density_from_bloch([0.5, 0.0, 0.0])
-        fb = feedback_hamiltonian(rho, rho, 0.5, yz_i=1e-4, p=p)
-        assert fb.suspended
-        np.testing.assert_allclose(fb.axis, 0.0)
+        fb = feedback_hamiltonian(np.array([rho, rho]), np.array([0.5, 0.5]),
+                                  np.array([1e-4, 0.5]), p)
+        assert fb.suspended.tolist() == [True, False]
+        np.testing.assert_allclose(fb.axis[0], 0.0)
+        assert np.linalg.norm(fb.axis[1]) > 0.0
 
     def test_suspended_at_planar_origin(self):
+        # one qubit at the origin suspends both qubits of its pair
         p = NoiseParams()
         polar = density_from_bloch([0.0, 0.0, 0.9])
         planar = density_from_bloch([0.5, 0.0, 0.0])
-        fb = feedback_hamiltonian(polar, planar, 0.5, yz_i=0.5, p=p)
-        assert fb.suspended
+        fb = feedback_hamiltonian(np.array([polar, planar]), np.array([0.5, 0.5]),
+                                  np.array([0.5, 0.5]), p)
+        assert fb.suspended.tolist() == [True, True]
 
 
 class TestProtectedPair:
@@ -428,15 +450,14 @@ class TestProtectedPair:
                 density_from_bloch([0.1, 0.7, -0.1])]
         cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=1)
         traj = simulate_protected_pair(rhos[0], rhos[1], p, cfg, [21], [True])
-        c0 = [2.0 * abs(r[1, 0]) for r in rhos]
+        c0 = np.array([2.0 * abs(r[1, 0]) for r in rhos])
         rng = np.random.default_rng(21)
         y_sum = [0.0, 0.0]
         for k in range(200):
             t = k * cfg.dt
-            axes = [np.zeros(3), np.zeros(3)]
+            axes = np.zeros((2, 3))
             if t >= WARM_UP_TIME:
-                axes = [feedback_hamiltonian(rhos[q], rhos[1 - q], c0[q],
-                                             y_sum[q] / t, p).axis for q in (0, 1)]
+                axes = feedback_hamiltonian(np.array(rhos), c0, np.array(y_sum) / t, p).axis
             for q in (0, 1):
                 rhos[q], dy = sme_step(rhos[q], axes[q], p,
                                        rng.normal(0.0, math.sqrt(cfg.dt)), cfg.dt)

@@ -1,7 +1,15 @@
 """Properties over random connected weighted graphs: the edge-list
 (manifest) round trip, the quantum/sphere twin agreement, a geometric
 run staying inside an open hemisphere, batches with a topology per
-member and unit norm over long runs."""
+member, unit norm over long runs, and the paper's Lyapunov functions.
+
+The chain protocol's V and the geometric protocol's weighted
+disagreement Phi = sum_{i<j} w_ij (1 - x_i . x_j) never rise from one
+kept sample to the next, up to rounding, from starts anywhere on the
+sphere. The largest pairwise angle is *not* monotone: in 60 sphere runs
+on random connected graphs of 3 to 8 nodes from starts anywhere on the
+sphere (dt = 1e-3, 2 000 steps), it rose above its earlier minimum in 36,
+by up to 0.71 rad, so no test asserts that it falls."""
 
 import numpy as np
 import pytest
@@ -14,7 +22,7 @@ from qubitnet.dynamics import (
     simulate_network,
     simulate_sphere,
 )
-from qubitnet.experiments import hemisphere_points, kets_from_points
+from qubitnet.experiments import hemisphere_points, kets_from_points, sphere_points
 from qubitnet.topology import Topology, chain, from_edge_list, is_connected
 
 
@@ -126,3 +134,52 @@ def test_kets_stay_unit_over_ten_thousand_steps(protocols, data):
     for run in simulate_network(kets, topologies, protocol, cfg, gain=gain):
         assert run.sample_times[-1] == 100.0
         assert np.max(np.abs(np.linalg.norm(run.samples, axis=-1) - 1.0)) < 1e-13
+
+
+# Rounding allowances. V sums N - 1 dot products of unit kets; it never
+# rose in 2 000 random 200-step runs, and by at most 5.3e-15 in 4 000-step
+# runs that reach its floor. Phi's terms 1 - x_i . x_j are each rounded to
+# about 1e-16, so its allowance is relative to the total weight; its
+# largest rise was 6.7e-16 of it.
+V_ROUNDING = 1e-14
+PHI_ROUNDING = 1e-14
+# dt * gain * (largest weighted degree) bounds a step's rotation angle. At
+# 1.0 Phi rose by at most rounding over 250 random runs, at 1.2 by 0.05 of
+# the total weight, so the geometric property stays at half of 1.0.
+STEP_BOUND = 0.5
+
+
+def disagreement(x, weights):
+    """Phi = sum_{i<j} w_ij (1 - x_i . x_j) at every (..., N, 3) sample."""
+    return 0.5 * np.einsum("ij,...ij->...", weights, 1.0 - x @ np.swapaxes(x, -1, -2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 11), st.integers(0, 2**32 - 1), st.floats(1e-3, 5e-2))
+def test_chain_lyapunov_never_rises(n, seed, dt):
+    """The chain protocol's V is nonincreasing at every step of a run
+    from Bloch vectors anywhere on the sphere."""
+    kets = kets_from_points(sphere_points(np.random.default_rng(seed), n))
+    cfg = IntegratorConfig(dt=dt, t_max=200 * dt)
+    v = simulate_network(kets, chain(n), "chain", cfg).metrics["V"]
+    assert len(v) == cfg.n_steps + 1 == 201
+    assert np.max(np.diff(v)) <= V_ROUNDING
+
+
+@pytest.mark.filterwarnings("ignore:initial Bloch vectors:UserWarning")
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0]),
+       st.floats(0.01, 1.0))
+def test_geometric_disagreement_never_rises(t, seed, gain, fraction):
+    """Phi is nonincreasing at every step of a geometric run and of its
+    sphere twin, from vectors anywhere on the sphere. A gain scales the
+    flow's rate, so the twin steps gain * dt."""
+    dt = fraction * STEP_BOUND / (gain * t.weights.sum(axis=1).max())
+    start = sphere_points(np.random.default_rng(seed), t.n)
+    quantum = simulate_network(kets_from_points(start), t, "geometry",
+                               IntegratorConfig(dt=dt, t_max=100 * dt), gain=gain)
+    sphere = simulate_sphere(start, t, IntegratorConfig(dt=gain * dt, t_max=100 * gain * dt))
+    allowance = PHI_ROUNDING * 0.5 * t.weights.sum()
+    for x in (quantum.bloch(), sphere.samples):
+        assert len(x) == 101
+        assert np.max(np.diff(disagreement(x, t.weights))) <= allowance
