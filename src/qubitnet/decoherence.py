@@ -73,7 +73,7 @@ class FeedbackAxis(NamedTuple):
     suspended: np.ndarray   # (...,) bool
 
 
-def _drift(rho: np.ndarray, p: NoiseParams) -> np.ndarray:
+def lindblad_rhs(rho: np.ndarray, p: NoiseParams) -> np.ndarray:
     """Relaxation, dephasing and measurement back-action, in closed form.
 
     D[sigma_-](rho) = [[r11, -r01/2], [-r10/2, -r11]] and
@@ -86,16 +86,6 @@ def _drift(rho: np.ndarray, p: NoiseParams) -> np.ndarray:
     return out
 
 
-def _axis_matrix(axis) -> np.ndarray:
-    """axis . sigma for every (..., 3) axis."""
-    axis = np.asarray(axis, dtype=float)
-    ax, az, iay = axis[..., 0], axis[..., 2], 1j * axis[..., 1]
-    out = np.empty(az.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 1, 1] = az, -az
-    out[..., 0, 1], out[..., 1, 0] = ax - iay, ax + iay
-    return out
-
-
 def _coherence(rho: np.ndarray) -> np.ndarray:
     """Planar coherence 2 |rho_10|; np.hypot, unlike np.abs, is libm's."""
     return 2.0 * np.hypot(rho[..., 1, 0].real, rho[..., 1, 0].imag)
@@ -105,21 +95,14 @@ def _expected_z(rho: np.ndarray) -> np.ndarray:
     return rho[..., 0, 0].real - rho[..., 1, 1].real
 
 
-def lindblad_rhs(rho, axis, p: NoiseParams) -> np.ndarray:
-    """Deterministic part of the master equation (innovation dropped)."""
-    rho = np.asarray(rho, dtype=complex)
-    h = _axis_matrix(axis)
-    return -1j * (h @ rho - rho @ h) + _drift(rho, p)
-
-
-def simulate_lindblad(rho0, axis, p: NoiseParams, cfg: IntegratorConfig) -> np.ndarray:
-    """RK4 integration of the deterministic master equation; returns rho(t_max).
+def simulate_lindblad(rho0, p: NoiseParams, cfg: IntegratorConfig) -> np.ndarray:
+    """RK4 integration of the drift alone (no Hamiltonian); returns rho(t_max).
 
     The generator L is linear and constant, so one RK4 step is the fixed
     map R = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 on vec(rho), and
     n_steps of them are R to the n-th power.
     """
-    hl = cfg.dt * lindblad_rhs(np.eye(4).reshape(4, 2, 2), axis, p).reshape(4, 4).T
+    hl = cfg.dt * lindblad_rhs(np.eye(4, dtype=complex).reshape(4, 2, 2), p).reshape(4, 4).T
     step = sum(np.linalg.matrix_power(hl, n) / math.factorial(n) for n in range(5))
     return (np.linalg.matrix_power(step, cfg.n_steps) @ np.ravel(rho0)).reshape(2, 2)
 
@@ -153,7 +136,7 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
     im[..., 0, 1] = im[..., 1, 0] = -sn[..., 0]
     rho = u @ rho @ u.swapaxes(-1, -2).conj()
 
-    rho = rho + _drift(rho, p) * dt
+    rho = rho + lindblad_rhs(rho, p) * dt
     if p.eta_z * p.gamma_z > 0.0:
         # H[sigma_z](rho) = sigma_z rho + rho sigma_z - 2 <sigma_z> rho
         z = _expected_z(rho)[..., None, None]
@@ -216,7 +199,7 @@ def simulate_protected_pair(
     p: NoiseParams,
     cfg: IntegratorConfig,
     seeds: list[int],
-    feedback: list[bool],
+    n_feedback: int,
 ) -> PairTrajectory:
     """Co-evolve two qubits under independent measurement noise.
 
@@ -225,17 +208,19 @@ def simulate_protected_pair(
     feedback off during the warm-up window. A seed's noise, drawn in blocks
     as the run goes, is default_rng(seed).normal(0, sqrt(dt), (n_steps, 2)).
 
-    Each seed, with its feedback flag, steps one pair from the same
-    initial states; all pairs step as one batch, and member m of the
-    result equals the one-member run of seeds[m]. Every pair runs to
+    Each seed steps one pair from the same initial states, the first
+    n_feedback seeds with feedback and the rest without; all pairs step
+    as one batch, and member m of the result equals the one-member run
+    of seeds[m] with feedback as m < n_feedback. Every pair runs to
     cfg.t_max, since a cfg.stop_threshold is rejected, so the members
     share one time grid.
     """
-    fb_on = np.array(feedback, dtype=bool)
-    if fb_on.shape != (len(seeds),):
-        raise ValueError(f"{fb_on.size} feedback flags for {len(seeds)} seeds")
-    any_feedback = bool(fb_on.any())
-    if any_feedback and p.gamma_z == 0.0:
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
+    if not isinstance(n_feedback, (int, np.integer)) or not 0 <= n_feedback <= len(seeds):
+        raise ValueError(f"n_feedback must be an integer in [0, {len(seeds)}], "
+                         f"got {n_feedback!r}")
+    if n_feedback and p.gamma_z == 0.0:
         raise ValueError("feedback needs a measurement channel (gamma_z > 0)")
     if cfg.stop_threshold is not None:
         raise ValueError("protected-pair runs take no stop_threshold; they run to t_max")
@@ -243,22 +228,22 @@ def simulate_protected_pair(
     target = _coherence(rho0)
     rngs = [np.random.default_rng(s) for s in seeds]
     noise = np.empty((_noise_block(len(seeds)), len(seeds), 2))
-    axes = np.zeros((len(seeds), 2, 3))  # zero in the warm-up and wherever feedback is off
+    axes = np.zeros((len(seeds), 2, 3))  # zero in the warm-up and past the feedback arm
 
     y_sum = np.zeros((len(seeds), 2))
     suspended = np.zeros((len(seeds), 2), dtype=int)  # per member and qubit
     k = 0
 
     def step(x):
-        nonlocal k, y_sum, suspended
+        nonlocal k, y_sum
         if k % len(noise) == 0:
             for m, rng in enumerate(rngs):
                 noise[:, m] = rng.normal(0.0, math.sqrt(cfg.dt), (len(noise), 2))
         t = k * cfg.dt
-        if any_feedback and t >= WARM_UP_TIME:
-            fb = feedback_hamiltonian(x, target, y_sum / t, p)
-            np.copyto(axes, fb.axis, where=fb_on[:, None, None])
-            suspended += fb.suspended & fb_on[:, None]
+        if n_feedback and t >= WARM_UP_TIME:
+            fb = feedback_hamiltonian(x[:n_feedback], target, y_sum[:n_feedback] / t, p)
+            axes[:n_feedback] = fb.axis
+            suspended[:n_feedback] += fb.suspended
         x, dy = sme_step(x, axes, p, noise[k % len(noise)], cfg.dt)
         if dy is not None:
             y_sum += dy

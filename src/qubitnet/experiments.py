@@ -495,8 +495,7 @@ def run_coherence_protect(
     arm_flags = {"fb": True, "nofb": False}
     seeds = [int(np.random.default_rng([master_seed, 4, m, int(fb)]).integers(2**63))
              for fb in arm_flags.values() for m in range(n_traj)]
-    run = simulate_protected_pair(rho_i, rho_j, p, cfg, seeds,
-                                  [fb for fb in arm_flags.values() for _ in range(n_traj)])
+    run = simulate_protected_pair(rho_i, rho_j, p, cfg, seeds, n_traj)
     # (quantity, arm, member, sample) of the two-qubit mean coherence and the distance
     series = np.stack([run.coherence.mean(axis=-1), run.distance]).reshape(2, 2, n_traj, -1)
     stats = np.stack([series.mean(axis=2),
@@ -505,7 +504,7 @@ def run_coherence_protect(
                      for stat in ("mean", "se")], stats.reshape(8, -1)))
     finals = dict(zip(arm_flags, run.final_rhos.reshape(2, n_traj, 2, 2, 2)))
     # deterministic reference for the feedback-off arm
-    rho_lind = simulate_lindblad(rho_i, np.zeros(3), p, cfg)
+    rho_lind = simulate_lindblad(rho_i, p, cfg)
 
     # a run that ends before t = 0.5 has no value at t = 0.5: null in JSON
     half = int(np.argmin(np.abs(run.sample_times - 0.5))) if t_max >= 0.5 else None

@@ -43,7 +43,7 @@ class TestLindblad:
     def test_rhs_traceless_hermitian(self):
         p = NoiseParams()
         for _ in range(20):
-            out = lindblad_rhs(random_rho(), RNG.normal(size=3), p)
+            out = lindblad_rhs(random_rho(), p)
             assert abs(np.trace(out)) < 1e-12
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
 
@@ -53,7 +53,7 @@ class TestLindblad:
         p = NoiseParams(gamma_r=0.0, gamma_phi=g, gamma_z=0.0, eta_z=1.0)
         rho0 = density_from_bloch([0.8, 0.0, 0.2])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.3)
-        rho = simulate_lindblad(rho0, np.zeros(3), p, cfg)
+        rho = simulate_lindblad(rho0, p, cfg)
         expect = rho0[0, 1] * math.exp(-2.0 * g * 0.3)
         assert rho[0, 1] == pytest.approx(expect, rel=1e-6)
         np.testing.assert_allclose(np.diag(rho), np.diag(rho0), atol=1e-9)
@@ -65,7 +65,7 @@ class TestLindblad:
         p = NoiseParams(gamma_r=g, gamma_phi=0.0, gamma_z=0.0, eta_z=1.0)
         rho0 = density_from_bloch([0.0, 0.0, -1.0])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.5)
-        rho = simulate_lindblad(rho0, np.zeros(3), p, cfg)
+        rho = simulate_lindblad(rho0, p, cfg)
         assert rho[1, 1].real == pytest.approx(math.exp(-4.0 * g * 0.5), rel=1e-5)
         assert rho[0, 0].real > 0.98
 
@@ -74,31 +74,29 @@ class TestLindblad:
         from scipy.integrate import solve_ivp
 
         p = NoiseParams()
-        axis = np.array([1.0, -0.5, 2.0])
         rho0 = random_rho(np.random.default_rng(3))
         cfg = IntegratorConfig(dt=1e-4, t_max=0.2)
 
         def rhs(_t, y):
-            return lindblad_rhs(y.reshape(2, 2), axis, p).ravel()
+            return lindblad_rhs(y.reshape(2, 2), p).ravel()
 
         sol = solve_ivp(rhs, (0.0, 0.2), rho0.ravel().astype(complex),
                         rtol=1e-10, atol=1e-12)
         ref = sol.y[:, -1].reshape(2, 2)
-        got = simulate_lindblad(rho0, axis, p, cfg)
+        got = simulate_lindblad(rho0, p, cfg)
         np.testing.assert_allclose(got, ref, atol=1e-7)
 
     def test_matrix_power_matches_step_loop(self):
         p = NoiseParams()
-        axis = np.array([1.0, -0.5, 2.0])
         rho = random_rho(np.random.default_rng(4))
         cfg = IntegratorConfig(dt=1e-3, t_max=0.3)
-        got = simulate_lindblad(rho, axis, p, cfg)
+        got = simulate_lindblad(rho, p, cfg)
         h = cfg.dt
         for _ in range(300):
-            k1 = lindblad_rhs(rho, axis, p)
-            k2 = lindblad_rhs(rho + 0.5 * h * k1, axis, p)
-            k3 = lindblad_rhs(rho + 0.5 * h * k2, axis, p)
-            k4 = lindblad_rhs(rho + h * k3, axis, p)
+            k1 = lindblad_rhs(rho, p)
+            k2 = lindblad_rhs(rho + 0.5 * h * k1, p)
+            k3 = lindblad_rhs(rho + 0.5 * h * k2, p)
+            k4 = lindblad_rhs(rho + h * k3, p)
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
 
@@ -202,7 +200,7 @@ def sme_step_oracle(rho, axis, p, dW, dt):
     phi = (omega * dt)[..., None, None]
     u = np.cos(phi) * core.I2 - 1j * np.sin(phi) * nhat
     rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
-    rho = rho + decoherence._drift(rho, p) * dt
+    rho = rho + decoherence.lindblad_rhs(rho, p) * dt
     if p.eta_z * p.gamma_z > 0.0:
         z = expected_z_oracle(rho)[..., None, None]
         innovation = 2.0 * rho * decoherence.SIGMA_Z - (2.0 * z) * rho
@@ -226,6 +224,16 @@ def feedback_oracle(rho_i, rho_j, c0_i, yz_i, p):
     mu = np.where(suspended, 0.0, p.gamma_total * c0_i / np.where(suspended, 1.0, yz_i))
     axis = np.stack([mu * np.cos(phi), mu * np.sin(phi), np.zeros_like(mu)], axis=-1)
     return axis, suspended
+
+
+def lindblad_oracle(rho0, p, cfg):
+    """simulate_lindblad with the zero-axis commutator that its one caller
+    passed, added to the drift of the identity cast to complex."""
+    rho = np.asarray(np.eye(4).reshape(4, 2, 2), dtype=complex)
+    h = axis_matrix_oracle(np.zeros(3))
+    hl = cfg.dt * (-1j * (h @ rho - rho @ h) + decoherence.lindblad_rhs(rho, p)).reshape(4, 4).T
+    step = sum(np.linalg.matrix_power(hl, n) / math.factorial(n) for n in range(5))
+    return (np.linalg.matrix_power(step, cfg.n_steps) @ np.ravel(rho0)).reshape(2, 2)
 
 
 def protected_pair_oracle(rho0_i, rho0_j, p, cfg, seeds, flags):
@@ -281,12 +289,6 @@ def feedback_inputs(draw):
 
 class TestOracles:
     @settings(max_examples=80, deadline=None)
-    @given(axis_stacks())
-    def test_axis_matrix(self, axes):
-        got, want = decoherence._axis_matrix(axes), axis_matrix_oracle(axes)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @settings(max_examples=80, deadline=None)
     @given(feedback_inputs())
     def test_feedback_hamiltonian(self, inputs):
         pair, c0, yz = inputs
@@ -323,6 +325,27 @@ class TestOracles:
             want, want_dy = sme_step_oracle(rho, axis, p, dw, dt)
             assert got.tobytes() == want.tobytes() and got_dy.tobytes() == want_dy.tobytes()
 
+    # simulate_lindblad against the form that added the zero-axis
+    # commutator, at zero and nonzero rates, on random, pure-z and
+    # diagonal states (a -0 off-diagonal in the last)
+    @pytest.mark.parametrize("p", [NoiseParams(),
+                                   NoiseParams(gamma_r=0.0, gamma_phi=3.0, eta_z=0.5),
+                                   NoiseParams(gamma_r=2.0, gamma_phi=0.0, gamma_z=0.0),
+                                   NoiseParams(gamma_r=0.0, gamma_phi=0.0, gamma_z=0.0)])
+    @pytest.mark.parametrize("dt", [1e-4, 4e-4, 1e-3, 5e-2])
+    def test_simulate_lindblad(self, p, dt):
+        rng = np.random.default_rng(23)
+        states = [*(random_rho(rng) for _ in range(6)),
+                  density_from_bloch([0.0, 0.0, 1.0]), density_from_bloch([0.0, 0.0, -0.4]),
+                  np.diag([0.7, 0.3]),
+                  np.array([[0.6, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.4]])]
+        for t_max in (dt, 0.05, 0.5):
+            cfg = IntegratorConfig(dt=dt, t_max=t_max)
+            for rho in states:
+                got, want = simulate_lindblad(rho, p, cfg), lindblad_oracle(rho, p, cfg)
+                assert got.tobytes() == want.tobytes()
+
+    # the feedback arm is the leading n_feedback members, none to all;
     # the second pair has a qubit at the planar origin: every feedback
     # member is suspended after warm-up; the 3-step block is forced
     # through the byte bound
@@ -333,14 +356,16 @@ class TestOracles:
         a = density_from_bloch([0.6, 0.1, 0.2])
         b = density_from_bloch(bloch_j)
         cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=1)
-        seeds, flags = [11, 12, 13, 14], [True, False, False, True]
+        seeds = [11, 14, 12, 13]
         if block_steps:
             monkeypatch.setattr(decoherence, "_NOISE_BYTES", block_steps * 16 * len(seeds))
             assert decoherence._noise_block(len(seeds)) == block_steps
-        run = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
-        x, suspended = protected_pair_oracle(a, b, p, cfg, seeds, flags)
-        assert run.final_rhos.tobytes() == x.tobytes()
-        assert run.suspended_steps.tolist() == suspended.tolist()
+        for n_feedback in (0, 1, len(seeds) - 1, len(seeds)):
+            flags = [True] * n_feedback + [False] * (len(seeds) - n_feedback)
+            run = simulate_protected_pair(a, b, p, cfg, seeds, n_feedback)
+            x, suspended = protected_pair_oracle(a, b, p, cfg, seeds, flags)
+            assert run.final_rhos.tobytes() == x.tobytes()
+            assert run.suspended_steps.tolist() == suspended.tolist()
 
 
 class TestFeedbackHamiltonian:
@@ -381,19 +406,18 @@ class TestProtectedPair:
         p = NoiseParams(gamma_z=0.0)
         rho = density_from_bloch([0.6, 0.0, 0.0])
         with pytest.raises(ValueError):
-            simulate_protected_pair(rho, rho, p, IntegratorConfig(t_max=0.01),
-                                    [0], [True])
+            simulate_protected_pair(rho, rho, p, IntegratorConfig(t_max=0.01), [0], 1)
 
     def test_deterministic_under_seed(self):
         p = NoiseParams()
         a = density_from_bloch([0.6, 0.1, 0.2])
         b = density_from_bloch([0.1, 0.7, -0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.05, sample_every=10)
-        t1 = simulate_protected_pair(a, b, p, cfg, [42], [True])
-        t2 = simulate_protected_pair(a, b, p, cfg, [42], [True])
+        t1 = simulate_protected_pair(a, b, p, cfg, [42], 1)
+        t2 = simulate_protected_pair(a, b, p, cfg, [42], 1)
         np.testing.assert_array_equal(t1.coherence[0], t2.coherence[0])
         np.testing.assert_array_equal(t1.distance[0], t2.distance[0])
-        t3 = simulate_protected_pair(a, b, p, cfg, [43], [True])
+        t3 = simulate_protected_pair(a, b, p, cfg, [43], 1)
         assert not np.array_equal(t1.coherence[0], t3.coherence[0])
 
     def test_zero_noise_flat_coherence(self):
@@ -401,7 +425,7 @@ class TestProtectedPair:
         a = density_from_bloch([0.6, 0.0, 0.3])
         b = density_from_bloch([0.0, 0.5, 0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.1, sample_every=100)
-        traj = simulate_protected_pair(a, b, p, cfg, [1], [False])
+        traj = simulate_protected_pair(a, b, p, cfg, [1], 0)
         coherence = traj.coherence[0]
         spread = np.abs(coherence - coherence[0][None, :])
         assert spread.max() < 1e-12
@@ -411,7 +435,7 @@ class TestProtectedPair:
         a = density_from_bloch([0.6, 0.0, 0.3])
         b = density_from_bloch([0.0, 0.5, 0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=10)
-        traj = simulate_protected_pair(a, b, p, cfg, [5], [True])
+        traj = simulate_protected_pair(a, b, p, cfg, [5], 1)
         np.testing.assert_allclose(
             traj.target, [2 * abs(a[1, 0]), 2 * abs(b[1, 0])], atol=1e-12
         )
@@ -423,18 +447,18 @@ class TestProtectedPair:
     # suspended for both qubits at each of the 200 steps after warm-up
     @pytest.mark.parametrize("bloch_j, suspended", [
         ([0.1, 0.7, -0.1], [0, 0, 0, 0]),
-        ([0.0, 0.0, 0.5], [400, 0, 0, 400]),
+        ([0.0, 0.0, 0.5], [400, 400, 0, 0]),
     ])
     def test_batch_members_match_single_runs(self, bloch_j, suspended):
         p = NoiseParams()
         a = density_from_bloch([0.6, 0.1, 0.2])
         b = density_from_bloch(bloch_j)
         cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=7)
-        seeds, flags = [11, 12, 13, 14], [True, False, False, True]
-        batch = simulate_protected_pair(a, b, p, cfg, seeds, feedback=flags)
+        seeds = [11, 14, 12, 13]
+        batch = simulate_protected_pair(a, b, p, cfg, seeds, 2)
         assert batch.suspended_steps.shape == (len(seeds),)
-        for m, (seed, fb) in enumerate(zip(seeds, flags)):
-            one = simulate_protected_pair(a, b, p, cfg, [seed], [fb])
+        for m, seed in enumerate(seeds):
+            one = simulate_protected_pair(a, b, p, cfg, [seed], int(m < 2))
             np.testing.assert_array_equal(batch.sample_times, one.sample_times)
             for name in ("coherence", "distance", "final_rhos"):
                 np.testing.assert_allclose(getattr(batch, name)[m], getattr(one, name)[0],
@@ -449,7 +473,7 @@ class TestProtectedPair:
         rhos = [density_from_bloch([0.6, 0.1, 0.2]),
                 density_from_bloch([0.1, 0.7, -0.1])]
         cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=1)
-        traj = simulate_protected_pair(rhos[0], rhos[1], p, cfg, [21], [True])
+        traj = simulate_protected_pair(rhos[0], rhos[1], p, cfg, [21], 1)
         c0 = np.array([2.0 * abs(r[1, 0]) for r in rhos])
         rng = np.random.default_rng(21)
         y_sum = [0.0, 0.0]
@@ -479,7 +503,7 @@ class TestProtectedPair:
         a = density_from_bloch([0.6, 0.1, 0.2])
         b = density_from_bloch([0.1, 0.7, -0.1])
         cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=9)
-        args = (a, b, p, cfg, [31, 32], [True, False])
+        args = (a, b, p, cfg, [31, 32], 1)
         whole = simulate_protected_pair(*args)
         monkeypatch.setattr(decoherence, "_NOISE_BLOCK", 7)
         got = simulate_protected_pair(*args)
@@ -510,17 +534,56 @@ class TestProtectedPair:
         rho = density_from_bloch([0.6, 0.0, 0.0])
         cfg = IntegratorConfig(dt=1e-9, t_max=0.5, sample_every=50)
         with pytest.raises(ValueError, match="GiB of samples"):
-            simulate_protected_pair(rho, rho, NoiseParams(), cfg, [1, 2], [True, False])
+            simulate_protected_pair(rho, rho, NoiseParams(), cfg, [1, 2], 1)
 
-    def test_rejects_mismatched_feedback_flags(self):
+    def test_rejects_empty_seeds(self):
         rho = density_from_bloch([0.6, 0.0, 0.0])
-        with pytest.raises(ValueError, match="feedback flags"):
-            simulate_protected_pair(rho, rho, NoiseParams(),
-                                    IntegratorConfig(t_max=0.01), [1, 2],
-                                    feedback=[True])
+        with pytest.raises(ValueError, match="at least one seed"):
+            simulate_protected_pair(rho, rho, NoiseParams(), IntegratorConfig(t_max=0.01), [], 0)
+
+    @pytest.mark.parametrize("n_feedback", [-1, 3, 1.0, "1", None])
+    def test_rejects_n_feedback_outside_the_batch(self, n_feedback):
+        rho = density_from_bloch([0.6, 0.0, 0.0])
+        with pytest.raises(ValueError, match="n_feedback"):
+            simulate_protected_pair(rho, rho, NoiseParams(), IntegratorConfig(t_max=0.01),
+                                    [1, 2], n_feedback)
+
+    # feedback_hamiltonian sees the leading n_feedback members at each
+    # step after warm-up, the very rows that sme_step then steps, and is
+    # never called without a feedback arm
+    @pytest.mark.parametrize("n_feedback", [0, 1, 3, 4])
+    def test_feedback_law_gets_the_leading_block(self, monkeypatch, n_feedback):
+        calls = []
+
+        def record(name, fn):
+            def wrapper(x, *args):
+                calls.append((name, np.array(x, copy=True)))
+                return fn(x, *args)
+            monkeypatch.setattr(decoherence, name, wrapper)
+
+        record("feedback_hamiltonian", decoherence.feedback_hamiltonian)
+        record("sme_step", decoherence.sme_step)
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch([0.1, 0.7, -0.1])
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.015, sample_every=5)
+        simulate_protected_pair(a, b, NoiseParams(), cfg, [11, 14, 12, 13], n_feedback)
+        steps, pair = [], None  # per step, the rows the law saw (or None) and the batch
+        for name, x in calls:
+            if name == "feedback_hamiltonian":
+                pair = x
+            else:
+                steps.append((pair, x))
+                pair = None
+        assert len(steps) == cfg.n_steps
+        for k, (pair, x) in enumerate(steps):
+            if n_feedback and k * cfg.dt >= WARM_UP_TIME:
+                assert pair.shape == (n_feedback, 2, 2, 2)
+                assert pair.tobytes() == x[:n_feedback].tobytes()
+            else:
+                assert pair is None
 
     def test_rejects_stop_threshold(self):
         rho = density_from_bloch([0.6, 0.0, 0.0])
         cfg = IntegratorConfig(t_max=0.01, stop_threshold=1e-2, stop_metric="distance")
         with pytest.raises(ValueError, match="stop_threshold"):
-            simulate_protected_pair(rho, rho, NoiseParams(), cfg, [0], [True])
+            simulate_protected_pair(rho, rho, NoiseParams(), cfg, [0], 1)

@@ -1199,8 +1199,7 @@ class TestSplitRecord:
         cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=7)
 
         def run():
-            return simulate_protected_pair(a, b, NoiseParams(), cfg, [11, 12, 13],
-                                           feedback=[True, False, True])
+            return simulate_protected_pair(a, b, NoiseParams(), cfg, [11, 13, 12], 2)
 
         (got, got_record), (want, want_record) = _run_and_oracle(run, _pair_record, decoherence)
         _assert_records_equal(got_record, want_record)
