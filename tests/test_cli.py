@@ -502,10 +502,15 @@ class TestInputValidation:
         (["chain-run", "--dt", "-1"], "dt must be positive"),
         (["grid-run", "--t-max", "nan"], "must be finite"),
         (["min-time-heatmap", "--dt", "0"], "dt must be positive"),
+        # 10^10 cells at about 1 KB each; rejected before the first is built
+        (["min-time-heatmap", "--resolution", "100000"],
+         "heatmap resolution must be in [8, 1448], got 100000"),
     ])
     def test_rejects_before_creating_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
+        start = time.perf_counter()
         rc = main([argv[0], "--out", str(out), *argv[1:]])
+        assert time.perf_counter() - start < 1.0
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

@@ -105,9 +105,8 @@ class TestSmeStep:
     def test_zero_everything_is_identity(self):
         p = NoiseParams(gamma_r=0.0, gamma_phi=0.0, gamma_z=0.0, eta_z=1.0)
         rho = random_rho()
-        out, dy = sme_step(rho, np.zeros(3), p, dW=0.01, dt=1e-3)
+        out = sme_step(rho, np.zeros(3), p, dW=0.01, dt=1e-3)
         np.testing.assert_allclose(out, rho, atol=1e-12)
-        assert dy is None
 
     def test_hamiltonian_part_is_exact_rotation(self):
         from qubitnet.core import bloch_from_density
@@ -115,24 +114,16 @@ class TestSmeStep:
         p = NoiseParams(gamma_r=0.0, gamma_phi=0.0, gamma_z=0.0, eta_z=1.0)
         rho = density_from_bloch([1.0, 0.0, 0.0])
         # H = z.sigma for time pi/4 turns x to y (Bloch rate 2|n|)
-        out, _ = sme_step(rho, [0, 0, 1], p, dW=0.0, dt=math.pi / 4)
+        out = sme_step(rho, [0, 0, 1], p, dW=0.0, dt=math.pi / 4)
         np.testing.assert_allclose(bloch_from_density(out), [0, 1, 0], atol=1e-12)
-
-    def test_output_increment_formula(self):
-        p = NoiseParams()
-        rho = density_from_bloch([0.0, 0.0, 0.6])
-        dw, dt = 0.02, 1e-3
-        _, dy = sme_step(rho, np.zeros(3), p, dW=dw, dt=dt)
-        expect = 0.6 * dt + dw / (2.0 * math.sqrt(p.eta_z * p.gamma_z))
-        assert dy == pytest.approx(expect, abs=1e-12)
 
     def test_state_stays_physical(self):
         p = NoiseParams()
         rng = np.random.default_rng(9)
         rho = random_rho(rng)
         for _ in range(2000):
-            rho, _ = sme_step(rho, rng.normal(size=3), p,
-                              dW=rng.normal(0.0, math.sqrt(1e-4)), dt=1e-4)
+            rho = sme_step(rho, rng.normal(size=3), p,
+                           dW=rng.normal(0.0, math.sqrt(1e-4)), dt=1e-4)
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.linalg.eigvalsh(rho).min() > -1e-6
 
@@ -158,8 +149,8 @@ class TestSmeStepProperties:
     @given(sme_batches())
     def test_batch_stays_physical(self, batch):
         rho, axes, dw, dt = batch
-        out, dy = sme_step(rho, axes, NoiseParams(), dw, dt)
-        assert out.shape == rho.shape and dy.shape == dw.shape
+        out = sme_step(rho, axes, NoiseParams(), dw, dt)
+        assert out.shape == rho.shape
         np.testing.assert_allclose(np.trace(out, axis1=1, axis2=2), 1.0,
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out, np.swapaxes(out, 1, 2).conj())
@@ -236,9 +227,10 @@ def lindblad_oracle(rho0, p, cfg):
     return (np.linalg.matrix_power(step, cfg.n_steps) @ np.ravel(rho0)).reshape(2, 2)
 
 
-def protected_pair_oracle(rho0_i, rho0_j, p, cfg, seeds, flags):
+def protected_pair_oracle(rho0_i, rho0_j, p, cfg, seeds, flags, records=None):
     """The batched step closure with its per-step zero axes, feedback test
-    and suspended sum, on whole 1024-step noise blocks."""
+    and suspended sum, on whole 1024-step noise blocks; the record y_sum / t
+    that the feedback law reads, on every member, goes to records if given."""
     fb_on = np.array(flags, dtype=bool)
     rho0 = np.array([rho0_i, rho0_j], dtype=complex)
     target = decoherence._coherence(rho0)
@@ -254,6 +246,8 @@ def protected_pair_oracle(rho0_i, rho0_j, p, cfg, seeds, flags):
         axes = np.zeros(x.shape[:-2] + (3,))
         if t >= WARM_UP_TIME and fb_on.any():
             axis, susp = feedback_oracle(x, x[:, ::-1], target, y_sum / t, p)
+            if records is not None:
+                records.append(y_sum / t)
             axes = np.where(fb_on[:, None, None], axis, 0.0)
             suspended += (susp & fb_on[:, None]).sum(axis=1)
         x, dy = sme_step_oracle(x, axes, p, noise[k % 1024], cfg.dt)
@@ -292,20 +286,20 @@ class TestOracles:
     @given(feedback_inputs())
     def test_feedback_hamiltonian(self, inputs):
         pair, c0, yz = inputs
-        fb = feedback_hamiltonian(pair, c0, yz, NoiseParams())
+        got_axis, got_suspended = feedback_hamiltonian(pair, c0, yz, NoiseParams())
         axis, suspended = feedback_oracle(pair, pair[..., ::-1, :, :], c0, yz, NoiseParams())
-        assert fb.axis.shape == axis.shape and fb.axis.tobytes() == axis.tobytes()
-        assert np.shape(fb.suspended) == np.shape(suspended)
-        assert np.asarray(fb.suspended).tobytes() == np.asarray(suspended).tobytes()
+        assert got_axis.shape == axis.shape and got_axis.tobytes() == axis.tobytes()
+        assert np.shape(got_suspended) == np.shape(suspended)
+        assert np.asarray(got_suspended).tobytes() == np.asarray(suspended).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(sme_batches(), axis_stacks())
     def test_sme_step(self, batch, axes):
         rho, _, dw, dt = batch
         axes = np.resize(axes, (len(rho), 3))  # signed-zero rows on a batch
-        got, got_dy = sme_step(rho, axes, NoiseParams(), dw, dt)
-        want, want_dy = sme_step_oracle(rho, axes, NoiseParams(), dw, dt)
-        assert got.tobytes() == want.tobytes() and got_dy.tobytes() == want_dy.tobytes()
+        got = sme_step(rho, axes, NoiseParams(), dw, dt)
+        want, _ = sme_step_oracle(rho, axes, NoiseParams(), dw, dt)
+        assert got.tobytes() == want.tobytes()
 
     # sme_step writes its unitary entry by entry: zero, -0, planar, pure-z
     # and tilted axes on states whose off-diagonal is exactly zero (-0 in
@@ -321,9 +315,9 @@ class TestOracles:
         cases = list(itertools.product(states, axes, [0.0, -0.0, 0.01]))
         batch = tuple(np.array(column) for column in zip(*cases))
         for rho, axis, dw in [*cases, batch]:
-            got, got_dy = sme_step(rho, axis, p, dw, dt)
-            want, want_dy = sme_step_oracle(rho, axis, p, dw, dt)
-            assert got.tobytes() == want.tobytes() and got_dy.tobytes() == want_dy.tobytes()
+            got = sme_step(rho, axis, p, dw, dt)
+            want, _ = sme_step_oracle(rho, axis, p, dw, dt)
+            assert got.tobytes() == want.tobytes()
 
     # simulate_lindblad against the form that added the zero-axis
     # commutator, at zero and nonzero rates, on random, pure-z and
@@ -367,17 +361,71 @@ class TestOracles:
             assert run.final_rhos.tobytes() == x.tobytes()
             assert run.suspended_steps.tolist() == suspended.tolist()
 
+    # the step closure forms the record: at every call the law's yz is, to
+    # the byte, the oracle's dy summed over the arm's rows and divided by t;
+    # gamma_z 0.4 and eta_z 0.7 pin the record's sqrt(eta gamma_z)
+    @pytest.mark.parametrize("n_feedback", [1, 3, 4])
+    def test_feedback_reads_the_oracle_record(self, monkeypatch, n_feedback):
+        p = NoiseParams(gamma_z=0.4, eta_z=0.7)
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch([0.1, 0.7, -0.1])
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.03, sample_every=10)
+        seeds = [11, 14, 12, 13]
+        law, got = decoherence.feedback_hamiltonian, []
+
+        def recording(pair, c0, yz, p):
+            got.append(np.array(yz, copy=True))
+            return law(pair, c0, yz, p)
+
+        monkeypatch.setattr(decoherence, "feedback_hamiltonian", recording)
+        run = simulate_protected_pair(a, b, p, cfg, seeds, n_feedback)
+        flags, want = [True] * n_feedback + [False] * (len(seeds) - n_feedback), []
+        x, _ = protected_pair_oracle(a, b, p, cfg, seeds, flags, want)
+        assert len(got) == len(want) > 0
+        for yz, y in zip(got, want):
+            assert yz.shape == (n_feedback, 2) and yz.tobytes() == y[:n_feedback].tobytes()
+        assert run.final_rhos.tobytes() == x.tobytes()
+
+    # without a feedback arm the closure forms no record: _expected_z, read
+    # outside sme_step, sees no row, and the batch is still the oracle's
+    def test_no_arm_reads_no_record(self, monkeypatch):
+        step, expected_z, inside, rows = decoherence.sme_step, decoherence._expected_z, [], []
+
+        def sme_step(*args):
+            inside.append(True)
+            try:
+                return step(*args)
+            finally:
+                inside.pop()
+
+        def recording(rho):
+            if not inside:
+                rows.append(len(rho))
+            return expected_z(rho)
+
+        monkeypatch.setattr(decoherence, "sme_step", sme_step)
+        monkeypatch.setattr(decoherence, "_expected_z", recording)
+        a = density_from_bloch([0.6, 0.1, 0.2])
+        b = density_from_bloch([0.1, 0.7, -0.1])
+        cfg = IntegratorConfig(dt=1e-4, t_max=0.02, sample_every=10)
+        seeds = [11, 14, 12]
+        run = simulate_protected_pair(a, b, NoiseParams(), cfg, seeds, 0)
+        assert sum(rows) == 0
+        x, suspended = protected_pair_oracle(a, b, NoiseParams(), cfg, seeds, [False] * 3)
+        assert run.final_rhos.tobytes() == x.tobytes()
+        assert run.suspended_steps.tolist() == suspended.tolist() == [0, 0, 0]
+
 
 class TestFeedbackHamiltonian:
     def test_axis_is_planar_with_expected_gain(self):
         p = NoiseParams()
         rho = density_from_bloch([0.5, 0.3, 0.2])
         c0 = 2.0 * abs(rho[1, 0])
-        fb = feedback_hamiltonian(np.array([rho, rho]), np.array([c0, c0]),
-                                  np.array([0.4, 0.8]), p)
-        assert not fb.suspended.any()
-        assert np.all(fb.axis[:, 2] == 0.0)
-        np.testing.assert_allclose(np.linalg.norm(fb.axis, axis=-1),
+        axis, suspended = feedback_hamiltonian(np.array([rho, rho]), np.array([c0, c0]),
+                                               np.array([0.4, 0.8]), p)
+        assert not suspended.any()
+        assert np.all(axis[:, 2] == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(axis, axis=-1),
                                    p.gamma_total * c0 / np.array([0.4, 0.8]),
                                    rtol=0, atol=1e-12)
 
@@ -385,20 +433,20 @@ class TestFeedbackHamiltonian:
         # the floor acts on each qubit's own record
         p = NoiseParams()
         rho = density_from_bloch([0.5, 0.0, 0.0])
-        fb = feedback_hamiltonian(np.array([rho, rho]), np.array([0.5, 0.5]),
-                                  np.array([1e-4, 0.5]), p)
-        assert fb.suspended.tolist() == [True, False]
-        np.testing.assert_allclose(fb.axis[0], 0.0)
-        assert np.linalg.norm(fb.axis[1]) > 0.0
+        axis, suspended = feedback_hamiltonian(np.array([rho, rho]), np.array([0.5, 0.5]),
+                                               np.array([1e-4, 0.5]), p)
+        assert suspended.tolist() == [True, False]
+        np.testing.assert_allclose(axis[0], 0.0)
+        assert np.linalg.norm(axis[1]) > 0.0
 
     def test_suspended_at_planar_origin(self):
         # one qubit at the origin suspends both qubits of its pair
         p = NoiseParams()
         polar = density_from_bloch([0.0, 0.0, 0.9])
         planar = density_from_bloch([0.5, 0.0, 0.0])
-        fb = feedback_hamiltonian(np.array([polar, planar]), np.array([0.5, 0.5]),
-                                  np.array([0.5, 0.5]), p)
-        assert fb.suspended.tolist() == [True, True]
+        _, suspended = feedback_hamiltonian(np.array([polar, planar]), np.array([0.5, 0.5]),
+                                            np.array([0.5, 0.5]), p)
+        assert suspended.tolist() == [True, True]
 
 
 class TestProtectedPair:
@@ -481,11 +529,12 @@ class TestProtectedPair:
             t = k * cfg.dt
             axes = np.zeros((2, 3))
             if t >= WARM_UP_TIME:
-                axes = feedback_hamiltonian(np.array(rhos), c0, np.array(y_sum) / t, p).axis
+                axes, _ = feedback_hamiltonian(np.array(rhos), c0, np.array(y_sum) / t, p)
             for q in (0, 1):
-                rhos[q], dy = sme_step(rhos[q], axes[q], p,
-                                       rng.normal(0.0, math.sqrt(cfg.dt)), cfg.dt)
-                y_sum[q] += dy
+                dw = rng.normal(0.0, math.sqrt(cfg.dt))
+                y_sum[q] += (expected_z_oracle(rhos[q]) * cfg.dt
+                             + dw / (2.0 * math.sqrt(p.eta_z * p.gamma_z)))
+                rhos[q] = sme_step(rhos[q], axes[q], p, dw, cfg.dt)
             np.testing.assert_allclose(
                 traj.coherence[0, k + 1], [2.0 * abs(r[1, 0]) for r in rhos],
                 rtol=0, atol=1e-12)

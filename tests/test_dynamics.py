@@ -40,7 +40,12 @@ from qubitnet.metrics import (
     quantum_average,
     settling_time,
 )
-from qubitnet.protocols import _CROSS_FORMS, chain_axes, geometry_axes
+from qubitnet.protocols import (
+    _CROSS_FORMS,
+    chain_axes,
+    geometry_axes,
+    min_time_pair_hamiltonians,
+)
 from qubitnet.topology import Topology, chain, complete, from_edge_list, grid, is_chain
 
 RNG = np.random.default_rng(11)
@@ -937,14 +942,37 @@ class TestStopMetric:
 
 def _hand_stepped(kets, t, protocol, gain, cfg):
     """Every sample of a network run stepped by hand, (S, ..., N, 2): the
-    kernels called without a workspace, the axes scaled by a plain multiply."""
+    kernels called without a workspace, the gain scaling the step's time."""
     weights = np.array([tb.weights for tb in t]) if isinstance(t, list) else t.weights
     x, snaps = kets, [kets]
     for _ in range(cfg.n_steps):
         if protocol == "chain":
-            axes = gain * chain_axes(x)
+            x = dynamics._step_kets(x, chain_axes(x), gain * cfg.dt)
         else:
-            axes = (0.5 * gain) * geometry_axes(dynamics._bloch_batch(x), weights)
+            x = dynamics._step_kets(x, geometry_axes(dynamics._bloch_batch(x), weights),
+                                    gain * cfg.dt / 2)
+        snaps.append(x)
+    return np.array(snaps)
+
+
+def _scaled_axes_oracle(kets, t, protocol, gain, cfg):
+    """Every sample of a network run, (S, ..., N, 2), as simulate_network
+    stepped it before the gain scaled the step's time: chain and geometry
+    axes scaled in a multiply (by gain and gain / 2), min-time's fixed axes
+    built with the gain, every step taken over cfg.dt."""
+    weights = np.array([tb.weights for tb in t]) if isinstance(t, list) else t.weights
+    if protocol == "min-time":
+        fixed = gain * np.array([np.stack(min_time_pair_hamiltonians(u[0], u[1]))
+                                 for u in dynamics._bloch_batch(kets.reshape(-1, 2, 2))])
+        fixed = fixed.reshape(kets.shape[:-1] + (3,))
+    x, snaps = kets, [kets]
+    for _ in range(cfg.n_steps):
+        if protocol == "chain":
+            axes = np.multiply(gain, chain_axes(x))
+        elif protocol == "geometry":
+            axes = np.multiply(0.5 * gain, geometry_axes(dynamics._bloch_batch(x), weights))
+        else:
+            axes = fixed
         x = dynamics._step_kets(x, axes, cfg.dt)
         snaps.append(x)
     return np.array(snaps)
@@ -1031,6 +1059,48 @@ class TestStepWorkspace:
                                                  self.CFG.dt))
         got = np.stack([traj.samples for traj in simulate_sphere(x, t, self.CFG)], axis=1)
         assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestGainScalesTime:
+    """simulate_network steps over gain * dt (gain * dt / 2 for geometry)
+    where it once scaled the axes by the gain and stepped over dt. For a
+    power-of-two gain both scalings are exact, so the bytes are those of
+    the removed form; other gains move the kets at rounding level."""
+
+    CFG = IntegratorConfig(dt=1e-2, t_max=0.5)  # 50 steps, every one kept
+    CASES = [("chain", chain(4), None), ("chain", chain(4), 3),
+             ("geometry", complete(4), None), ("geometry", complete(4), 3),
+             ("geometry", [chain(4), complete(4), chain(4)], 3),
+             ("min-time", chain(2), None), ("min-time", chain(2), 3)]
+
+    def _runs(self, protocol, t, size, gain):
+        n = 2 if protocol == "min-time" else 4
+        rng = np.random.default_rng(35)
+        # points about +z in the upper hemisphere, so geometry gives no warning
+        pts = np.array([0.0, 0.0, 1.0]) + 0.6 * rng.normal(size=(size or 1, n, 3))
+        pts[..., 2] = np.abs(pts[..., 2])
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        kets = np.array([[ket_from_bloch(u) for u in p] for p in pts])
+        kets = kets if size else kets[0]
+        run = simulate_network(kets, t, protocol, self.CFG, gain=gain)
+        got = np.stack([traj.samples for traj in (run if size else [run])], axis=1)
+        want = _scaled_axes_oracle(kets, t, protocol, gain, self.CFG)
+        return got, want if size else want[:, None]
+
+    @pytest.mark.parametrize("gain", [0.25, 0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("protocol, t, size", CASES)
+    def test_power_of_two_gain_keeps_the_bytes(self, protocol, t, size, gain):
+        got, want = self._runs(protocol, t, size, gain)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # the bytes differ in 13 of these 14 runs; the largest difference
+    # measured after 50 steps is 6.2e-17 at gain 0.7 and 1.1e-16 at 1.3,
+    # and the bound leaves a margin of about a hundred
+    @pytest.mark.parametrize("gain", [0.7, 1.3])
+    @pytest.mark.parametrize("protocol, t, size", CASES)
+    def test_other_gains_agree_to_rounding(self, protocol, t, size, gain):
+        got, want = self._runs(protocol, t, size, gain)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def _per_sample_driver(x, step, record, names, cfg):

@@ -32,17 +32,20 @@ SEEDS = (0, 1, 7)
 # Runs at the acceptance size. coherence-protect: over its 5 000 steps the
 # feedback loop grows a one-ulp change in the SME step to about 1e-3; the
 # second one pins the drift, SME and Lindblad bytes at rates other than
-# the defaults, relaxation off. qcme-compare: a 20-member geometric
-# network batch (gain 2, chain and complete graph) and a 10-member
-# chain-protocol batch (gain 1), each over 20 000 steps (every member
-# runs to t_max). min-time-heatmap: the runs kept for their settling
-# times alone, 1 024 cells at the defaults, and 32 400 cells of which 180
-# settle at t = 0. sphere-twin-check: 20 geometric networks at gain 1
-# (axes scaled by 0.5) and their sphere twins, over 5 000 steps.
+# the defaults, relaxation off; the third pins the measurement record's
+# sqrt(eta gamma_z) away from the defaults. qcme-compare: a 20-member
+# geometric network batch (gain 2, chain and complete graph) and a
+# 10-member chain-protocol batch (gain 1), each over 20 000 steps (every
+# member runs to t_max). min-time-heatmap: the runs kept for their
+# settling times alone, 1 024 cells at the defaults, and 32 400 cells of
+# which 180 settle at t = 0. sphere-twin-check: 20 geometric networks at
+# gain 1 (each step over dt / 2) and their sphere twins, over 5 000 steps.
 # grid-run: one unbatched geometric network over 50 000 steps.
 LONG_RUNS = [["coherence-protect", "--n-traj", "100", "--dt", "1e-4", "--seed", "0"],
              ["coherence-protect", "--n-traj", "4", "--gamma-r", "0", "--gamma-phi", "3",
               "--eta-z", "0.5", "--seed", "1"],
+             ["coherence-protect", "--n-traj", "3", "--gamma-z", "0.4", "--eta-z", "0.7",
+              "--seed", "7"],
              ["qcme-compare", "--n-seeds", "10", "--seed", "0"],
              ["min-time-heatmap"],
              ["min-time-heatmap", "--resolution", "180", "--dt", "5e-2"],
